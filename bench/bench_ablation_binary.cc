@@ -23,11 +23,11 @@ int main() {
       abcs::bench::SampleCoreVertices(base, t, t, queries, 2222);
 
   std::printf(
-      "Ablation A1: SCS-Binary (incremental vs pre-PR fresh-peel) and "
-      "SCS-Expand on DT (α=β=%u, avg over %u queries)\n",
+      "Ablation A1: SCS-Binary vs SCS-Expand on DT (α=β=%u, avg over %u "
+      "queries)\n",
       t, queries);
-  std::printf("%-12s %12s %12s %12s %10s %10s %12s\n", "weights", "expand(s)",
-              "binary(s)", "fresh(s)", "bin/exp", "fresh/bin", "probes/q");
+  std::printf("%-12s %12s %12s %10s %12s\n", "weights", "expand(s)",
+              "binary(s)", "bin/exp", "probes/q");
 
   struct Variant {
     const char* name;
@@ -58,12 +58,10 @@ int main() {
   for (const Variant& variant : variants) {
     const abcs::DeltaIndex index =
         abcs::DeltaIndex::Build(variant.graph, &base.decomp);
-    // Pooled workspace/scratch for the incremental kernels, matching the
-    // engine's steady state; the fresh baseline allocates per call, as the
-    // pre-PR implementation did.
+    // Pooled workspace/scratch, matching the engine's steady state.
     abcs::QueryScratch scratch;
     abcs::ScsWorkspace ws;
-    double expand_s = 0, binary_s = 0, fresh_s = 0;
+    double expand_s = 0, binary_s = 0;
     abcs::ScsStats binary_stats;
     for (abcs::VertexId q : qs) {
       const abcs::Subgraph c = index.QueryCommunity(q, t, t);
@@ -76,22 +74,16 @@ int main() {
       const abcs::ScsResult rb = abcs::ScsBinary(variant.graph, c, q, t, t,
                                                  &binary_stats, &scratch, &ws);
       binary_s += timer.Seconds();
-      timer.Reset();
-      const abcs::ScsResult rf =
-          abcs::ScsBinaryFreshPeel(variant.graph, c, q, t, t);
-      fresh_s += timer.Seconds();
-      if (re.found != rb.found || rf.found != rb.found ||
-          (re.found && (re.significance != rb.significance ||
-                        rf.significance != rb.significance))) {
+      if (re.found != rb.found ||
+          (re.found && re.significance != rb.significance)) {
         std::fprintf(stderr, "MISMATCH q=%u on %s\n", q, variant.name);
         return 1;
       }
     }
     const double n = qs.empty() ? 1.0 : static_cast<double>(qs.size());
-    std::printf("%-12s %12.3e %12.3e %12.3e %9.2fx %9.2fx %12.1f\n",
-                variant.name, expand_s / n, binary_s / n, fresh_s / n,
+    std::printf("%-12s %12.3e %12.3e %9.2fx %12.1f\n", variant.name,
+                expand_s / n, binary_s / n,
                 binary_s / (expand_s > 0 ? expand_s : 1e-12),
-                fresh_s / (binary_s > 0 ? binary_s : 1e-12),
                 static_cast<double>(binary_stats.incremental_probes) / n);
   }
   return 0;

@@ -1,16 +1,13 @@
 // SCS kernel throughput: {peel, expand, binary, auto} × dataset × weight
 // model (including duplicate-weight-heavy distributions, the regime the
-// incremental SCS-Binary targets), plus the pre-incremental fresh-peel
-// binary as the like-for-like baseline. Communities are retrieved once per
-// query point; the timed loop runs only the extraction kernels through one
-// pooled ScsWorkspace + QueryScratch, matching the query engine's
-// steady-state discipline. Emits BENCH_scs.json.
+// incremental SCS-Binary targets). Communities are retrieved once per query
+// point; the timed loop runs only the extraction kernels through one pooled
+// ScsWorkspace + QueryScratch, matching the query engine's steady-state
+// discipline. Emits BENCH_scs.json.
 //
-// Per (dataset × weights) cell the summary reports
-//   - binary_fresh_speedup: fresh-peel binary median / incremental median
-//     (the headline: ≥2× expected on duplicate-heavy weights), and
-//   - auto_vs_best: ScsAuto total time / best single-kernel total time
-//     (planner overhead; ≤1.10 expected everywhere).
+// Per (dataset × weights) cell the summary reports auto_vs_best: ScsAuto
+// total time / best single-kernel total time (planner overhead; ≤1.10
+// expected everywhere).
 //
 // Environment:
 //   ABCS_BENCH_DATASETS  comma-separated registry names (default "BS")
@@ -29,7 +26,6 @@
 #include "core/delta_index.h"
 #include "core/query_engine.h"
 #include "core/scs_auto.h"
-#include "core/scs_binary.h"
 #include "graph/weights.h"
 
 namespace {
@@ -96,7 +92,7 @@ int main(int argc, char** argv) {
   std::vector<CellRow> rows;
   struct CellSummary {
     std::string dataset, weights, best_kernel;
-    double binary_fresh_speedup = 0, auto_vs_best = 0;
+    double auto_vs_best = 0;
   };
   std::vector<CellSummary> summaries;
 
@@ -138,19 +134,16 @@ int main(int argc, char** argv) {
 
       struct Kernel {
         const char* name;
-        abcs::ScsAlgo algo;   // meaningful unless fresh
-        bool fresh = false;   // pre-incremental binary baseline
+        abcs::ScsAlgo algo;
       };
       const Kernel kernels[] = {
           {"peel", abcs::ScsAlgo::kPeel},
           {"expand", abcs::ScsAlgo::kExpand},
           {"binary", abcs::ScsAlgo::kBinary},
           {"auto", abcs::ScsAlgo::kAuto},
-          {"binary-fresh", abcs::ScsAlgo::kBinary, true},
       };
-      double totals[5] = {0};
-      double medians[5] = {0};
-      for (std::size_t k = 0; k < 5; ++k) {
+      double totals[4] = {0};
+      for (std::size_t k = 0; k < 4; ++k) {
         const Kernel& kernel = kernels[k];
         abcs::QueryScratch scratch;
         abcs::ScsWorkspace ws;
@@ -162,14 +155,9 @@ int main(int argc, char** argv) {
           const bool timed = pass == 1;
           for (std::size_t i = 0; i < qs.size(); ++i) {
             abcs::Timer timer;
-            if (kernel.fresh) {
-              (void)abcs::ScsBinaryFreshPeel(g, communities[i], qs[i], t, t,
-                                             timed ? &stats : nullptr);
-            } else {
-              abcs::ScsQueryInto(g, communities[i], qs[i], t, t, kernel.algo,
-                                 {}, &out, timed ? &stats : nullptr, &scratch,
-                                 &ws);
-            }
+            abcs::ScsQueryInto(g, communities[i], qs[i], t, t, kernel.algo,
+                               {}, &out, timed ? &stats : nullptr, &scratch,
+                               &ws);
             if (timed) latencies[i] = timer.Seconds();
           }
         }
@@ -186,7 +174,6 @@ int main(int argc, char** argv) {
         row.incremental_probes = stats.incremental_probes;
         row.edges_processed = stats.edges_processed;
         totals[k] = row.total_s;
-        medians[k] = row.median_us;
         rows.push_back(row);
         std::printf("%-6s %-6s %-14s %12.3f %12.3f %12.4f %14llu\n",
                     name.c_str(), variant.name, kernel.name, row.median_us,
@@ -201,13 +188,10 @@ int main(int argc, char** argv) {
           std::min_element(totals, totals + 3) - totals;  // single kernels
       summary.best_kernel = kernels[best].name;
       summary.auto_vs_best = totals[best] > 0 ? totals[3] / totals[best] : 0;
-      summary.binary_fresh_speedup =
-          medians[2] > 0 ? medians[4] / medians[2] : 0;
       summaries.push_back(summary);
-      std::printf(
-          "%-6s %-6s best=%s auto/best=%.3f binary-fresh/binary=%.2fx\n",
-          name.c_str(), variant.name, summary.best_kernel.c_str(),
-          summary.auto_vs_best, summary.binary_fresh_speedup);
+      std::printf("%-6s %-6s best=%s auto/best=%.3f\n", name.c_str(),
+                  variant.name, summary.best_kernel.c_str(),
+                  summary.auto_vs_best);
     }
   }
 
@@ -238,11 +222,9 @@ int main(int argc, char** argv) {
     const CellSummary& s = summaries[i];
     std::fprintf(f,
                  "    {\"dataset\": \"%s\", \"weights\": \"%s\", "
-                 "\"best_kernel\": \"%s\", \"auto_vs_best\": %.4f, "
-                 "\"binary_fresh_speedup\": %.4f}%s\n",
+                 "\"best_kernel\": \"%s\", \"auto_vs_best\": %.4f}%s\n",
                  s.dataset.c_str(), s.weights.c_str(), s.best_kernel.c_str(),
-                 s.auto_vs_best, s.binary_fresh_speedup,
-                 i + 1 < summaries.size() ? "," : "");
+                 s.auto_vs_best, i + 1 < summaries.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -15,14 +15,7 @@
 
 namespace abcs {
 
-class DeltaIndex;
 struct BundleAccess;
-
-/// Declared in core/index_io.h; friends of DeltaIndex for serialisation.
-Status SaveDeltaIndex(const DeltaIndex& index, const BipartiteGraph& g,
-                      const std::string& path);
-Status LoadDeltaIndex(const std::string& path, const BipartiteGraph& g,
-                      DeltaIndex* out);
 
 /// \brief The degeneracy-bounded index `I_δ` (paper §III-B, Algorithm 3)
 /// and its optimal community query `Qopt`.
@@ -75,10 +68,6 @@ class DeltaIndex {
   std::size_t MemoryBytes() const;
 
  private:
-  friend Status SaveDeltaIndex(const DeltaIndex&, const BipartiteGraph&,
-                               const std::string&);
-  friend Status LoadDeltaIndex(const std::string&, const BipartiteGraph&,
-                               DeltaIndex*);
   friend struct BundleAccess;
 
   struct Entry {

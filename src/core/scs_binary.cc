@@ -1,184 +1,47 @@
 #include "core/scs_binary.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "abcore/peel_kernel.h"
+#include <vector>
 
 namespace abcs {
 
 namespace {
 
-// ----------------------------------------------------------------------
-// The pre-PR implementation, preserved for ScsBinaryFreshPeel: the old
-// LocalGraph (input-order edges, endpoint sort + binary-searched id map,
-// no rank table) and the old FeasibleAt, exactly as they ran before the
-// weight-rank rework. They exist so the benches and tests can compare the
-// incremental machinery against the real historical cost model.
-// ----------------------------------------------------------------------
-
-class LegacyLocalGraph {
- public:
-  struct LocalEdge {
-    uint32_t u;
-    uint32_t v;
-    Weight w;
-    EdgeId global;
-  };
-  struct LocalArc {
-    uint32_t to;
-    uint32_t pos;
-  };
-
-  LegacyLocalGraph(const BipartiteGraph& g, const std::vector<EdgeId>& edges) {
-    std::vector<VertexId> verts;
-    verts.reserve(edges.size() * 2);
-    for (EdgeId e : edges) {
-      const Edge& ed = g.GetEdge(e);
-      verts.push_back(ed.u);
-      verts.push_back(ed.v);
-    }
-    std::sort(verts.begin(), verts.end());
-    verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-
-    global_of_ = verts;
-    is_upper_.resize(verts.size());
-    id_map_.reserve(verts.size());
-    for (uint32_t i = 0; i < verts.size(); ++i) {
-      is_upper_[i] = g.IsUpper(verts[i]) ? 1 : 0;
-      id_map_.emplace_back(verts[i], i);
-    }
-
-    edges_.reserve(edges.size());
-    for (EdgeId e : edges) {
-      const Edge& ed = g.GetEdge(e);
-      edges_.push_back(LocalEdge{LocalId(ed.u), LocalId(ed.v), ed.w, e});
-    }
-
-    const uint32_t n = NumVertices();
-    offsets_.assign(n + 1, 0);
-    for (const LocalEdge& le : edges_) {
-      ++offsets_[le.u + 1];
-      ++offsets_[le.v + 1];
-    }
-    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
-    arcs_.resize(2 * edges_.size());
-    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (uint32_t pos = 0; pos < edges_.size(); ++pos) {
-      const LocalEdge& le = edges_[pos];
-      arcs_[cursor[le.u]++] = LocalArc{le.v, pos};
-      arcs_[cursor[le.v]++] = LocalArc{le.u, pos};
-    }
-  }
-
-  uint32_t NumVertices() const {
-    return static_cast<uint32_t>(global_of_.size());
-  }
-  uint32_t NumEdges() const { return static_cast<uint32_t>(edges_.size()); }
-  const std::vector<LocalEdge>& edges() const { return edges_; }
-
-  uint32_t LocalId(VertexId global) const {
-    auto it = std::lower_bound(
-        id_map_.begin(), id_map_.end(), global,
-        [](const std::pair<VertexId, uint32_t>& p, VertexId v) {
-          return p.first < v;
-        });
-    if (it == id_map_.end() || it->first != global) return kInvalidVertex;
-    return it->second;
-  }
-  bool IsUpperLocal(uint32_t local) const { return is_upper_[local] != 0; }
-
-  std::span<const LocalArc> Neighbors(uint32_t local) const {
-    return {arcs_.data() + offsets_[local],
-            offsets_[local + 1] - offsets_[local]};
-  }
-
- private:
-  std::vector<VertexId> global_of_;
-  std::vector<uint8_t> is_upper_;
-  std::vector<LocalEdge> edges_;
-  std::vector<uint32_t> offsets_;
-  std::vector<LocalArc> arcs_;
-  std::vector<std::pair<VertexId, uint32_t>> id_map_;
-};
-
-/// The pre-PR feasibility probe: peels {edges of lg with weight >= w} to
-/// (α,β) stability with freshly built degrees and liveness.
-bool LegacyFeasibleAt(const LegacyLocalGraph& lg, uint32_t lq, uint32_t alpha,
-                      uint32_t beta, Weight w,
-                      std::vector<uint8_t>* alive_edges,
-                      std::vector<uint32_t>* deg, ScsStats* stats) {
-  const uint32_t n = lg.NumVertices();
-  const uint32_t m = lg.NumEdges();
-  auto threshold = [&](uint32_t x) {
-    return lg.IsUpperLocal(x) ? alpha : beta;
-  };
-  alive_edges->assign(m, 0);
-  deg->assign(n, 0);
-  for (uint32_t pos = 0; pos < m; ++pos) {
-    const LegacyLocalGraph::LocalEdge& le = lg.edges()[pos];
-    if (le.w >= w) {
-      (*alive_edges)[pos] = 1;
-      ++(*deg)[le.u];
-      ++(*deg)[le.v];
-    }
-  }
-  std::vector<uint8_t> alive(n, 1);
-  ThresholdPeel(
-      n, *deg, alive,
-      [&](uint32_t x, auto&& visit) {
-        for (const LegacyLocalGraph::LocalArc& a : lg.Neighbors(x)) {
-          if (!(*alive_edges)[a.pos]) continue;
-          (*alive_edges)[a.pos] = 0;
-          if (stats) ++stats->edges_processed;
-          --(*deg)[x];
-          visit(a.to);
-        }
-      },
-      threshold, [](uint32_t) {});
-  if (stats) ++stats->validations;
-  return alive[lq] && (*deg)[lq] >= threshold(lq);
-}
-
-/// From-scratch stable peel of the rank prefix [0, prefix_end): fills
-/// `alive` (per-rank) and `deg` and returns whether q survives. The
-/// fresh-peel baseline path; the incremental path never calls this.
+/// From-scratch stable peel of the rank prefix [0, prefix_end) with freshly
+/// built degrees; returns whether q survives. The reference the
+/// incremental probes are tested against; the incremental path never calls
+/// this.
 bool FreshPeelPrefix(const LocalGraph& lg, uint32_t lq, uint32_t alpha,
-                     uint32_t beta, uint32_t prefix_end,
-                     std::vector<uint8_t>* alive, std::vector<uint32_t>* deg,
-                     ScsStats* stats) {
+                     uint32_t beta, uint32_t prefix_end) {
   const uint32_t n = lg.NumVertices();
   const uint32_t m = lg.NumEdges();
   auto threshold = [&](uint32_t x) {
     return lg.IsUpperLocal(x) ? alpha : beta;
   };
-  alive->assign(m, 0);
-  deg->assign(n, 0);
+  std::vector<uint8_t> alive(m, 0);
+  std::vector<uint32_t> deg(n, 0);
   for (uint32_t r = 0; r < prefix_end; ++r) {
     const LocalGraph::LocalEdge& le = lg.edges()[r];
-    (*alive)[r] = 1;
-    ++(*deg)[le.u];
-    ++(*deg)[le.v];
+    alive[r] = 1;
+    ++deg[le.u];
+    ++deg[le.v];
   }
   std::vector<uint32_t> cascade;
   for (uint32_t x = 0; x < n; ++x) {
-    if ((*deg)[x] > 0 && (*deg)[x] < threshold(x)) cascade.push_back(x);
+    if (deg[x] > 0 && deg[x] < threshold(x)) cascade.push_back(x);
   }
   while (!cascade.empty()) {
     const uint32_t x = cascade.back();
     cascade.pop_back();
-    if ((*deg)[x] >= threshold(x) || (*deg)[x] == 0) continue;
+    if (deg[x] >= threshold(x) || deg[x] == 0) continue;
     for (const LocalGraph::LocalArc& a : lg.Neighbors(x)) {
-      if (!(*alive)[a.pos]) continue;
-      (*alive)[a.pos] = 0;
-      if (stats) ++stats->edges_processed;
-      --(*deg)[x];
-      --(*deg)[a.to];
-      if ((*deg)[a.to] < threshold(a.to)) cascade.push_back(a.to);
+      if (!alive[a.pos]) continue;
+      alive[a.pos] = 0;
+      --deg[x];
+      --deg[a.to];
+      if (deg[a.to] < threshold(a.to)) cascade.push_back(a.to);
     }
   }
-  if (stats) ++stats->validations;
-  return (*deg)[lq] >= threshold(lq);
+  return deg[lq] >= threshold(lq);
 }
 
 }  // namespace
@@ -308,87 +171,7 @@ bool ScsFeasibleFreshPeel(const LocalGraph& lg, VertexId q, uint32_t alpha,
                           uint32_t beta, uint32_t prefix_end) {
   const uint32_t lq = lg.LocalId(q);
   if (lq == kInvalidVertex || alpha == 0 || beta == 0) return false;
-  std::vector<uint8_t> alive;
-  std::vector<uint32_t> deg;
-  return FreshPeelPrefix(lg, lq, alpha, beta, prefix_end, &alive, &deg,
-                         nullptr);
-}
-
-ScsResult ScsBinaryFreshPeel(const BipartiteGraph& g, const Subgraph& community,
-                             VertexId q, uint32_t alpha, uint32_t beta,
-                             ScsStats* stats) {
-  // This is the pre-incremental implementation preserved verbatim (modulo
-  // the legacy LocalGraph being inlined below) in behaviour *and* cost
-  // model: the pre-rework local view rebuilt per call — endpoint sort +
-  // binary-searched id map, input-order edges, no rank table — a per-call
-  // weight collection + sort, and one from-scratch FeasibleAt peel (freshly
-  // allocated alive/deg arrays, full edge rescan) per binary-search step.
-  // Do not "improve" it; BENCH_scs.json measures the incremental kernel
-  // against exactly this.
-  ScsResult result;
-  if (stats) stats->algo_used = ScsAlgo::kBinary;
-  if (community.Empty() || alpha == 0 || beta == 0) return result;
-  const LegacyLocalGraph lg(g, community.edges);
-  const uint32_t lq = lg.LocalId(q);
-  if (lq == kInvalidVertex) return result;
-
-  std::vector<Weight> weights;
-  weights.reserve(lg.NumEdges());
-  for (const LegacyLocalGraph::LocalEdge& le : lg.edges()) {
-    weights.push_back(le.w);
-  }
-  std::sort(weights.begin(), weights.end());
-  weights.erase(std::unique(weights.begin(), weights.end()), weights.end());
-
-  std::vector<uint8_t> alive;
-  std::vector<uint32_t> deg;
-  // Invariant: feasible at weights[lo] (or infeasible everywhere).
-  if (!LegacyFeasibleAt(lg, lq, alpha, beta, weights.front(), &alive, &deg,
-                        stats)) {
-    return result;  // even the whole community does not support q
-  }
-  std::size_t lo = 0, hi = weights.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
-    std::vector<uint8_t> alive_mid;
-    std::vector<uint32_t> deg_mid;
-    if (LegacyFeasibleAt(lg, lq, alpha, beta, weights[mid], &alive_mid,
-                         &deg_mid, stats)) {
-      lo = mid;
-      alive = std::move(alive_mid);
-      deg = std::move(deg_mid);
-    } else {
-      hi = mid - 1;
-    }
-  }
-
-  // Extract q's connected component of the stable subgraph at weights[lo].
-  const uint32_t n = lg.NumVertices();
-  std::vector<uint8_t> visited(n, 0);
-  std::vector<uint32_t> stack{lq};
-  visited[lq] = 1;
-  Weight fmin = weights[lo];
-  bool first = true;
-  while (!stack.empty()) {
-    uint32_t x = stack.back();
-    stack.pop_back();
-    for (const LegacyLocalGraph::LocalArc& a : lg.Neighbors(x)) {
-      if (!alive[a.pos]) continue;
-      if (!lg.IsUpperLocal(x)) {
-        result.community.edges.push_back(lg.edges()[a.pos].global);
-        const Weight we = lg.edges()[a.pos].w;
-        fmin = first ? we : std::min(fmin, we);
-        first = false;
-      }
-      if (!visited[a.to]) {
-        visited[a.to] = 1;
-        stack.push_back(a.to);
-      }
-    }
-  }
-  result.significance = fmin;
-  result.found = true;
-  return result;
+  return FreshPeelPrefix(lg, lq, alpha, beta, prefix_end);
 }
 
 }  // namespace abcs

@@ -45,17 +45,9 @@ ScsResult ScsBinary(const BipartiteGraph& g, const Subgraph& community,
 
 /// From-scratch feasibility at a rank prefix: peels {ranks < prefix_end} to
 /// (α,β) with freshly built degrees. Reference for the incremental probes
-/// (tests) and the building block of `ScsBinaryFreshPeel`.
+/// (tests).
 bool ScsFeasibleFreshPeel(const LocalGraph& lg, VertexId q, uint32_t alpha,
                           uint32_t beta, uint32_t prefix_end);
-
-/// \brief The pre-incremental SCS-Binary: every binary-search step re-peels
-/// its threshold subgraph from scratch (O(size(C)) per probe, O(size(C)·
-/// log W) total). Kept as the like-for-like baseline for BENCH_scs.json and
-/// the equivalence tests; results are bit-identical to `ScsBinary`.
-ScsResult ScsBinaryFreshPeel(const BipartiteGraph& g, const Subgraph& community,
-                             VertexId q, uint32_t alpha, uint32_t beta,
-                             ScsStats* stats = nullptr);
 
 }  // namespace abcs
 

@@ -64,70 +64,6 @@ constexpr std::size_t BitPackedBytes(std::size_t count, uint32_t width) {
   return (count * width + 7) / 8;
 }
 
-/// \brief A fixed-width bit-packed u32 array — the decoded-side twin of a
-/// `kBitPack` lane, and the "packed form" the batch-decrement peel kernel
-/// consumes directly (abcore/peel_kernel.h, ThresholdPeelPacked).
-///
-/// Values live `width` bits apart in a u64 word array; `Get`/`Set` are
-/// branch-light shift/mask read-modify-writes. A degree array packed at
-/// ⌈log₂(maxdeg+1)⌉ bits is 3–6× smaller than a u32 vector, so a whole
-/// peel's working set often fits a cache level it otherwise misses.
-class PackedU32Array {
- public:
-  PackedU32Array() = default;
-
-  /// Packs `values[0, count)` at the tightest width covering their max.
-  void Assign(const uint32_t* values, std::size_t count);
-
-  std::size_t size() const { return size_; }
-  uint32_t width() const { return width_; }
-  /// Bytes held by the word array (the packed footprint).
-  std::size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
-
-  uint32_t Get(std::size_t i) const {
-    const std::size_t bit = i * width_;
-    const std::size_t word = bit >> 6;
-    const uint32_t shift = static_cast<uint32_t>(bit & 63);
-    // One guard word is always allocated, so the straddling read is safe.
-    uint64_t v = words_[word] >> shift;
-    if (shift + width_ > 64) v |= words_[word + 1] << (64 - shift);
-    return static_cast<uint32_t>(v & mask_);
-  }
-
-  /// `v` must fit in `width()` bits (guaranteed for degree counters, which
-  /// only ever decrease from the packed maximum).
-  void Set(std::size_t i, uint32_t v) {
-    const std::size_t bit = i * width_;
-    const std::size_t word = bit >> 6;
-    const uint32_t shift = static_cast<uint32_t>(bit & 63);
-    words_[word] = (words_[word] & ~(mask_ << shift)) |
-                   (static_cast<uint64_t>(v) << shift);
-    if (shift + width_ > 64) {
-      const uint32_t spill = 64 - shift;
-      words_[word + 1] = (words_[word + 1] & ~(mask_ >> spill)) |
-                         (static_cast<uint64_t>(v) >> spill);
-    }
-  }
-
-  /// Decrements element `i` by one and returns the new value. The packed
-  /// peel kernel's inner decrement: one RMW, no unpack round trip.
-  uint32_t Decrement(std::size_t i) {
-    const uint32_t v = Get(i) - 1;
-    Set(i, v);
-    return v;
-  }
-
-  /// Unpacks `[first, first + n)` into `out` — the batch form the packed
-  /// peel kernel's seed scan uses (word-at-a-time, amortised shifts).
-  void GetBatch(std::size_t first, std::size_t n, uint32_t* out) const;
-
- private:
-  std::vector<uint64_t> words_;  ///< packed bits + one guard word
-  std::size_t size_ = 0;
-  uint32_t width_ = 0;
-  uint64_t mask_ = 0;  ///< (1 << width_) - 1, cached for Get/Set
-};
-
 }  // namespace abcs
 
 #endif  // ABCS_IO_CODEC_H_

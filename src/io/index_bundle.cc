@@ -13,7 +13,6 @@
 #include <type_traits>
 
 #include "common/fnv.h"
-#include "core/index_io.h"
 #include "io/fault_inject.h"
 
 namespace abcs {
@@ -211,12 +210,24 @@ uint64_t BundleChecksum(const void* data, std::size_t size) {
   return fnv.h;
 }
 
-bool LooksLikeIndexBundle(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[kMagicBytes] = {};
-  in.read(magic, sizeof(magic));
-  return in && (std::memcmp(magic, kMagicV2, kMagicBytes) == 0 ||
-                std::memcmp(magic, kMagicV1, kMagicBytes) == 0);
+uint64_t GraphTopologyChecksum(const BipartiteGraph& g) {
+  Fnv1a64 fnv;
+  fnv.Mix(g.NumUpper());
+  fnv.Mix(g.NumLower());
+  fnv.Mix(g.NumEdges());
+  for (const Edge& e : g.Edges()) {
+    fnv.Mix((static_cast<uint64_t>(e.u) << 32) | e.v);
+  }
+  return fnv.h;
+}
+
+uint64_t GraphWeightChecksum(const BipartiteGraph& g) {
+  Fnv1a64 fnv;
+  fnv.Mix(g.NumEdges());
+  // Bit-exact digest: any change a weight model can make (including sign
+  // of zero or NaN payloads) changes the digest.
+  for (const Edge& e : g.Edges()) fnv.Mix(std::bit_cast<uint64_t>(e.w));
+  return fnv.h;
 }
 
 const char* BundleCompressionName(BundleCompression level) {

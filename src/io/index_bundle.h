@@ -195,11 +195,17 @@ Status OpenBundleWithFallback(const std::string& path,
 Status VerifyBundleMatchesGraph(const IndexBundle& bundle,
                                 const BipartiteGraph& g);
 
-/// True iff `path` starts with an ABCSPAK magic (v1 or v2) — the format
-/// sniff the CLI's `--index` auto-detection uses to dispatch between the
-/// bundle opener and the legacy ABCSIDX loader. Kept next to the format so
-/// the magic lives in exactly one translation unit.
-bool LooksLikeIndexBundle(const std::string& path);
+/// Topology checksum stored in the bundle header: FNV-1a over the shape
+/// and the edge list in EdgeId order. Weights are excluded; they have
+/// their own digest below.
+uint64_t GraphTopologyChecksum(const BipartiteGraph& g);
+
+/// Weight digest stored next to the topology checksum: FNV-1a over the bit
+/// patterns of the edge weights, in EdgeId order. A graph that kept its
+/// topology but changed its significances (re-scored ratings, fresh RWR
+/// run) is rejected instead of silently serving wrong BicoreIndex/SCS
+/// answers.
+uint64_t GraphWeightChecksum(const BipartiteGraph& g);
 
 /// The checksum used for bundle sections and the header/TOC meta record:
 /// FNV-1a over the bytes chunked into little-endian 64-bit words (tail

@@ -77,10 +77,7 @@ struct Server::Connection {
 
 Server::Server(const BipartiteGraph& g, const DeltaIndex* delta,
                const BicoreIndex* bicore, const ServerOptions& options)
-    : graph_(&g),
-      delta_(delta),
-      bicore_(bicore),
-      options_(options),
+    : options_(options),
       resolved_threads_(options.num_threads
                             ? options.num_threads
                             : std::max(1u,
@@ -436,9 +433,11 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     // Vertex universes are fixed across epochs (updates rewire edges, not
-    // vertex sets), so shape checks against the seed graph stay valid.
+    // vertex sets), so the current epoch's shape bounds every update.
+    const std::shared_ptr<const Snapshot> snap = snapshots_->Current();
     if (req.op != UpdateOp::kCommit &&
-        (req.u >= graph_->NumUpper() || req.v >= graph_->NumLower())) {
+        (req.u >= snap->graph().NumUpper() ||
+         req.v >= snap->graph().NumLower())) {
       resp.status = WireStatus::kInvalidVertex;
       Respond(conn, seq, resp);
       return;
@@ -457,14 +456,23 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                         });
     return;
   }
-  const uint32_t layer_size =
-      req.lower_side ? graph_->NumLower() : graph_->NumUpper();
-  if (req.q >= layer_size) {
+  Task task;
+  task.conn = conn;
+  task.seq = seq;
+  task.req = req;
+  task.arrival = std::chrono::steady_clock::now();
+  // Pin the epoch at admission: the admission checks below and the whole
+  // execution read this one frozen snapshot, even if the writer publishes
+  // midway.
+  task.snap = snapshots_->Current();
+  const BipartiteGraph& g = task.snap->graph();
+  if (req.q >= (req.lower_side ? g.NumLower() : g.NumUpper())) {
     resp.status = WireStatus::kInvalidVertex;
     Respond(conn, seq, resp);
     return;
   }
-  if (req.method == WireMethod::kBicore && bicore_ == nullptr) {
+  if (req.method == WireMethod::kBicore &&
+      task.snap->bicore_index() == nullptr) {
     resp.status = WireStatus::kBadRequest;
     Respond(conn, seq, resp);
     return;
@@ -474,14 +482,6 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     Respond(conn, seq, resp);
     return;
   }
-  Task task;
-  task.conn = conn;
-  task.seq = seq;
-  task.req = req;
-  task.arrival = std::chrono::steady_clock::now();
-  // Pin the epoch at admission: the whole request executes against this
-  // frozen snapshot even if the writer publishes midway.
-  task.snap = snapshots_->Current();
   if (!scheduler_.Push(std::move(task), static_cast<unsigned>(conn->id))) {
     counters_.overloaded.fetch_add(1);
     resp.status = WireStatus::kOverloaded;

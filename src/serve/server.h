@@ -152,9 +152,11 @@ struct ServeStats {
 /// calls `Shutdown` from a normal thread.
 class Server {
  public:
-  /// Borrows everything; graph and indexes must outlive the server.
-  /// `delta` must be non-null (it also serves SCS retrieval); `bicore`
-  /// may be null, in which case the bicore method answers kBadRequest.
+  /// Seeds epoch 1 of the snapshot chain; graph and indexes are borrowed
+  /// and must outlive the server. `delta` must be non-null (it also serves
+  /// SCS retrieval); `bicore` may be null, in which case the bicore method
+  /// answers kBadRequest on every epoch that has no I_v (the seed until
+  /// the first commit publishes an owned snapshot with one).
   Server(const BipartiteGraph& g, const DeltaIndex* delta,
          const BicoreIndex* bicore, const ServerOptions& options);
   ~Server();
@@ -234,9 +236,6 @@ class Server {
                WireResponse* resp);
   void ReapConnectionsLocked();
 
-  const BipartiteGraph* graph_;
-  const DeltaIndex* delta_;
-  const BicoreIndex* bicore_;
   ServerOptions options_;
   unsigned resolved_threads_ = 1;
 

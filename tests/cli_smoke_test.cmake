@@ -78,6 +78,19 @@ if(rc EQUAL 0 OR NOT err MATCHES "weights do not match")
     "${out}${err}")
 endif()
 message(STATUS "ok: stale-weight bundle rejected")
+# --index takes only bundles: a file in the retired single-index ABCSIDX2
+# format (or any other non-bundle) fails with a typed Corruption error.
+string(REPEAT "0" 120 legacy_pad)
+file(WRITE ${WORK_DIR}/legacy.idx "ABCSIDX2${legacy_pad}")
+execute_process(
+  COMMAND ${ABCS_CLI} query ${GRAPH} 1 2 2 --index ${WORK_DIR}/legacy.idx
+  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(rc EQUAL 0 OR NOT err MATCHES "error: Corruption")
+  message(FATAL_ERROR "non-bundle --index was not a Corruption error "
+    "(rc=${rc}):\n${out}${err}")
+endif()
+message(STATUS "ok: non-bundle --index rejected as Corruption")
+
 foreach(algo auto peel expand binary baseline)
   run_abcs("\\(2,2\\)-community" scs ${GRAPH} 1 2 2 --index ${INDEX} --algo ${algo})
 endforeach()
@@ -237,6 +250,54 @@ foreach(method scs-peel scs-expand scs-binary)
   endif()
 endforeach()
 message(STATUS "ok: scs batches deterministic and kernel-agreeing")
+
+# Strict numbers: every malformed, negative, out-of-range or trailing-junk
+# value is rejected with usage (exit 2) before any connection is made.
+file(WRITE ${WORK_DIR}/client_batch.txt "1 2 2\n")
+set(rejected_invocations
+  "client;--port;80x;--ping"
+  "client;--port;70000;--ping"
+  "client;--port;0;--ping"
+  "client;--port;1;--deadline-ms;-1;1;2;2"
+  "client;--port;1;--connect-timeout-ms;5s;--ping"
+  "client;--port;1;--io-timeout-ms;1.5;--ping"
+  "client;--port;1;--retries;0;--ping"
+  "client;--port;1;--rcvbuf-kb;-4;1;1;1;--flood;10"
+  "client;--port;1;1;1;1;--flood;1e3"
+  "client;--port;1;1;1;1;--flood;10;--hold-ms;3s"
+  "client;--port;1;1x;2;2"
+  "client;--port;1;1;-2;2"
+  "client;--port;1;4294967296;2;2"
+  "client;--port;1;1;2;2;--side;lower"
+  "client;--port;1;--batch;${WORK_DIR}/client_batch.txt;--connections;2x;--duration;5"
+  "client;--port;1;--batch;${WORK_DIR}/client_batch.txt;--connections;2;--duration;5s"
+  "client;--port;1;--batch;${WORK_DIR}/client_batch.txt;--connections;2;--duration;-5"
+  "client;--port;1;--insert;1;2;w3"
+  "client;--port;1;--insert;1;2;nan"
+  "client;--port;1;--remove;1;-2"
+  "client;--port;1;--reweight;1x;2;3.5"
+  "query;${GRAPH};--batch;${BATCH};--threads;2x"
+  "query;${GRAPH};--batch;${BATCH};--threads;-1"
+  "query;${GRAPH};1;2;2;--side;x")
+foreach(invocation IN LISTS rejected_invocations)
+  execute_process(COMMAND ${ABCS_CLI} ${invocation}
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "usage:")
+    message(FATAL_ERROR "abcs ${invocation} was not rejected with usage "
+      "(rc=${rc}):\n${out}${err}")
+  endif()
+endforeach()
+# The same flags with well-formed values parse: the client gets as far as
+# connecting to a closed local port and fails there (exit 1, no usage).
+execute_process(
+  COMMAND ${ABCS_CLI} client --port 1 --retries 1 --connect-timeout-ms 500
+    --io-timeout-ms 500 --deadline-ms 10 --side l 1 2 2
+  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1 OR err MATCHES "usage:")
+  message(FATAL_ERROR "well-formed client flags were not accepted "
+    "(rc=${rc}):\n${out}${err}")
+endif()
+message(STATUS "ok: malformed numeric flags rejected with usage")
 
 # Determinism: a second gen of the same spec must be byte-identical.
 run_abcs("" gen BS ${WORK_DIR}/bs2.txt)

@@ -1,8 +1,7 @@
 // Unit tests for the per-section codec layer (io/codec.h): encode→decode
 // round-trip identity over adversarial value patterns and every lane
 // count used by the bundle sections, exact error reporting on malformed
-// streams (the fuzz target's assertions, pinned deterministically), and
-// the PackedU32Array bit-packed form the peel kernel consumes.
+// streams (the fuzz target's assertions, pinned deterministically).
 
 #include <gtest/gtest.h>
 
@@ -200,68 +199,13 @@ TEST(SectionCodecTest, BitPackSizeMismatchIsCorruption) {
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
 }
 
-// ------------------------------------------------------- PackedU32Array --
-
-TEST(PackedU32ArrayTest, GetSetDecrementMatchReference) {
-  Rng rng(7);
-  for (const uint32_t max : {0u, 1u, 5u, 200u, 70000u, 0xffffffffu}) {
-    const std::size_t n = 500;
-    std::vector<uint32_t> ref(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ref[i] = max == 0 ? 0 : static_cast<uint32_t>(rng.Next() % (max + 1ull));
-    }
-    ref[0] = max;  // pin the width
-    PackedU32Array packed;
-    packed.Assign(ref.data(), n);
-    EXPECT_EQ(packed.size(), n);
-    EXPECT_EQ(packed.width(), BitWidthFor(max));
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(packed.Get(i), ref[i]) << "max=" << max << " i=" << i;
-    }
-    // Interleaved decrements and reads stay exact (the peel cascade's
-    // access pattern), including across word-straddling elements.
-    for (std::size_t step = 0; step < 2000; ++step) {
-      const std::size_t i = rng.Next() % n;
-      if (ref[i] == 0) continue;
-      --ref[i];
-      ASSERT_EQ(packed.Decrement(i), ref[i]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(packed.Get(i), ref[i]);
-    }
-  }
-}
-
-TEST(PackedU32ArrayTest, GetBatchMatchesScalarGets) {
-  Rng rng(11);
-  const std::size_t n = 777;
-  std::vector<uint32_t> ref(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ref[i] = static_cast<uint32_t>(rng.Next() % 100000);
-  }
-  PackedU32Array packed;
-  packed.Assign(ref.data(), n);
-  std::vector<uint32_t> out(n, 0);
-  for (const std::size_t first : {std::size_t{0}, std::size_t{63},
-                                  std::size_t{64}, std::size_t{100}}) {
-    for (const std::size_t len :
-         {std::size_t{0}, std::size_t{1}, std::size_t{65}, n - first}) {
-      packed.GetBatch(first, len, out.data());
-      for (std::size_t i = 0; i < len; ++i) {
-        ASSERT_EQ(out[i], ref[first + i]) << "first=" << first << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(PackedU32ArrayTest, PackedFootprintShrinksWithWidth) {
-  const std::size_t n = 10000;
-  std::vector<uint32_t> small(n, 3);
-  PackedU32Array packed;
-  packed.Assign(small.data(), n);
-  EXPECT_EQ(packed.width(), 2u);
-  // 2 bits per value vs 32: > 10× smaller even with the guard word.
-  EXPECT_LT(packed.MemoryBytes(), n * 4 / 10);
+TEST(SectionCodecTest, BitWidthForIsTheTightestWidth) {
+  EXPECT_EQ(BitWidthFor(0), 0u);
+  EXPECT_EQ(BitWidthFor(1), 1u);
+  EXPECT_EQ(BitWidthFor(3), 2u);
+  EXPECT_EQ(BitWidthFor(4), 3u);
+  EXPECT_EQ(BitWidthFor(70000), 17u);
+  EXPECT_EQ(BitWidthFor(0xffffffffu), 32u);
 }
 
 }  // namespace

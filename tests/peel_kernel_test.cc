@@ -119,49 +119,6 @@ TEST(PeelKernelTest, ThresholdPeelOnRemoveSeesEveryRemoval) {
   }
 }
 
-TEST(PeelKernelTest, PackedPeelMatchesUnpackedOnEveryThreshold) {
-  // The bit-packed kernel must reach the identical fixed point as the
-  // u32-vector kernel — same survivors, same final degrees — for every
-  // (α,β) over random graphs, including widths of 1–2 bits (sparse) and
-  // the empty-result regime (thresholds above max degree).
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    const BipartiteGraph g = testing::RandomWeightedGraph(30, 40, 220, seed);
-    const uint32_t n = g.NumVertices();
-    std::vector<uint32_t> base_deg(n);
-    for (VertexId v = 0; v < n; ++v) base_deg[v] = g.Degree(v);
-    for (uint32_t alpha = 1; alpha <= 5; ++alpha) {
-      for (uint32_t beta = 1; beta <= 5; ++beta) {
-        const auto threshold = [&](VertexId v) {
-          return g.IsUpper(v) ? alpha : beta;
-        };
-        std::vector<uint32_t> deg = base_deg;
-        std::vector<uint8_t> alive(n, 1);
-        ThresholdPeel(n, deg, alive, GraphNeighbors(g), threshold,
-                      [](VertexId) {});
-
-        PackedU32Array packed;
-        packed.Assign(base_deg.data(), n);
-        std::vector<uint8_t> packed_alive(n, 1);
-        std::vector<VertexId> removed;
-        ThresholdPeelPacked(n, packed, packed_alive, GraphNeighbors(g),
-                            threshold,
-                            [&](VertexId v) { removed.push_back(v); });
-
-        ASSERT_EQ(packed_alive, alive)
-            << "seed=" << seed << " alpha=" << alpha << " beta=" << beta;
-        uint32_t dead = 0;
-        for (VertexId v = 0; v < n; ++v) {
-          dead += packed_alive[v] == 0;
-          if (packed_alive[v]) {
-            ASSERT_EQ(packed.Get(v), deg[v]) << "v=" << v << " seed=" << seed;
-          }
-        }
-        ASSERT_EQ(removed.size(), dead);
-      }
-    }
-  }
-}
-
 TEST(PeelKernelTest, LevelPeelerExternalDecrement) {
   // A 3-regular-ish toy: u0..u2 complete to v0..v2 (all degrees 3), plus a
   // pendant v3-u0. With fixed upper need 1, ranked (lower) levels equal

@@ -207,10 +207,10 @@ TEST(QueryEngineTest, BicoreRejectionIsEarlyOut) {
 
 // Work-stealing dispatch must be invisible in the results: for every
 // method and thread count, outcomes (including per-query work counters
-// and retained communities) are bit-identical to the legacy round-robin
-// stripe — slot i is written by whichever worker executes i, exactly
-// once, regardless of who stole what.
-TEST(QueryEngineTest, WorkStealingBatchBitIdenticalToRoundRobin) {
+// and retained communities) are bit-identical to the serial run — slot i
+// is written by whichever worker executes i, exactly once, regardless of
+// who stole what.
+TEST(QueryEngineTest, WorkStealingBatchBitIdenticalToSerial) {
   const BipartiteGraph g = RandomWeightedGraph(80, 80, 900, 23);
   const DeltaIndex delta = DeltaIndex::Build(g);
   const BicoreIndex bicore = BicoreIndex::Build(g);
@@ -219,15 +219,15 @@ TEST(QueryEngineTest, WorkStealingBatchBitIdenticalToRoundRobin) {
   for (const QueryMethod method :
        {QueryMethod::kDelta, QueryMethod::kBicore, QueryMethod::kOnline}) {
     const QueryEngine engine(g, method, &delta, &bicore);
+    BatchOptions serial;
+    serial.num_threads = 1;
+    serial.keep_communities = true;
+    const BatchResult a = engine.RunBatch(requests, serial);
     for (const unsigned threads : {2u, 3u, 4u, 8u}) {
-      BatchOptions rr;
-      rr.num_threads = threads;
-      rr.keep_communities = true;
-      rr.dispatch = Dispatch::kRoundRobin;
-      BatchOptions ws = rr;
-      ws.dispatch = Dispatch::kWorkStealing;
-      const BatchResult a = engine.RunBatch(requests, rr);
+      BatchOptions ws = serial;
+      ws.num_threads = threads;
       const BatchResult b = engine.RunBatch(requests, ws);
+      ASSERT_EQ(b.num_threads_used, threads);
       ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
       for (std::size_t i = 0; i < requests.size(); ++i) {
         ASSERT_EQ(a.outcomes[i].num_edges, b.outcomes[i].num_edges)
@@ -243,21 +243,21 @@ TEST(QueryEngineTest, WorkStealingBatchBitIdenticalToRoundRobin) {
   }
 }
 
-TEST(QueryEngineTest, WorkStealingScsBatchBitIdenticalToRoundRobin) {
+TEST(QueryEngineTest, WorkStealingScsBatchBitIdenticalToSerial) {
   const BipartiteGraph g = RandomWeightedGraph(60, 60, 700, 29);
   const DeltaIndex delta = DeltaIndex::Build(g);
   const std::vector<QueryRequest> requests = MixedRequests(g, 101, 77);
 
   const QueryEngine engine(g, QueryMethod::kDelta, &delta);
+  ScsBatchOptions serial;
+  serial.num_threads = 1;
+  serial.keep_communities = true;
+  const ScsBatchResult a = engine.RunScsBatch(requests, serial);
   for (const unsigned threads : {2u, 4u}) {
-    ScsBatchOptions rr;
-    rr.num_threads = threads;
-    rr.keep_communities = true;
-    rr.dispatch = Dispatch::kRoundRobin;
-    ScsBatchOptions ws = rr;
-    ws.dispatch = Dispatch::kWorkStealing;
-    const ScsBatchResult a = engine.RunScsBatch(requests, rr);
+    ScsBatchOptions ws = serial;
+    ws.num_threads = threads;
     const ScsBatchResult b = engine.RunScsBatch(requests, ws);
+    ASSERT_EQ(b.num_threads_used, threads);
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       ASSERT_EQ(a.outcomes[i].found, b.outcomes[i].found) << i;

@@ -333,6 +333,41 @@ TEST(SnapshotServingTest, CommittedUpdatesChangeAnswersAndEpochs) {
   EXPECT_EQ(epoch, 2u);
 }
 
+// Admission reads the epoch a request pins, never the seed pointers: a
+// server seeded without I_v rejects bicore queries until the first commit
+// publishes an owned snapshot that carries one, and serves them from then
+// on.
+TEST(SnapshotServingTest, BicoreAdmissionFollowsThePinnedSnapshot) {
+  BipartiteGraph g = StressGraph(2);
+  DeltaIndex delta = DeltaIndex::Build(g);
+  ServerOptions options;
+  options.enable_updates = true;
+  Server server(g, &delta, /*bicore=*/nullptr, options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  WireResponse resp;
+  ASSERT_TRUE(client.Call(Query(0, 1, 1, WireMethod::kBicore), &resp).ok());
+  EXPECT_EQ(resp.status, WireStatus::kBadRequest);
+
+  ASSERT_TRUE(client.Update(UpdateOp::kInsertEdge, 3, 0, 1.0, &resp).ok());
+  ASSERT_EQ(resp.status, WireStatus::kOk);
+  uint64_t epoch = 0;
+  ASSERT_TRUE(client.Commit(&epoch).ok());
+  ASSERT_EQ(epoch, 2u);
+
+  ASSERT_TRUE(client.Call(Query(0, 1, 1, WireMethod::kBicore), &resp).ok());
+  ASSERT_EQ(resp.status, WireStatus::kOk);
+  EXPECT_EQ(resp.epoch, 2u);
+  // The in-process I_v over the committed graph gives the same |C|.
+  const BicoreIndex oracle =
+      BicoreIndex::Build(server.snapshots().Current()->graph());
+  EXPECT_EQ(resp.num_edges, oracle.QueryCommunity(0, 1, 1).edges.size());
+  EXPECT_EQ(resp.num_edges, 11u);  // merged the spare component
+  server.Shutdown();
+}
+
 // The satellite regression: a publish that touches one component leaves
 // the other component's memo entries warm — observable as memo_hit=true
 // across the epoch boundary.

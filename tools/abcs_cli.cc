@@ -67,11 +67,14 @@
 // (lines starting with % or # ignored). <q> is a layer-local id; --side
 // selects the layer (default: u).
 //
-// --index FILE auto-detects the format by magic: an ABCSPAK1 bundle is
-// opened zero-copy and cross-checked against the supplied graph (topology
-// checksum AND weight digest, so stale significances are rejected); a
-// legacy ABCSIDX dump loads through the deprecated load-only path. scs and
-// profile accept --bundle too.
+// --index FILE names a bundle written by `abcs index`: it is opened
+// zero-copy and cross-checked against the supplied graph (topology checksum
+// AND weight digest, so stale significances are rejected); any other file
+// fails with a Corruption error. scs and profile accept --bundle too.
+//
+// Every number on the command line is a whole base-10 token checked
+// against its range (ids and α/β fit u32, ports fit u16, ...); weights
+// and durations are whole finite decimals. Anything else prints usage.
 //
 // A batch file has one query per line: `q alpha beta [u|l]` (layer-local
 // q; the trailing letter overrides the batch-wide --side; % and # comment
@@ -80,6 +83,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -96,7 +100,6 @@
 #include "common/timer.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
-#include "core/index_io.h"
 #include "core/query_engine.h"
 #include "core/scs_auto.h"
 #include "core/scs_baseline.h"
@@ -156,6 +159,47 @@ int Fail(const abcs::Status& st) {
   return 1;
 }
 
+/// The one numeric parser for every command: `text` must be a whole
+/// base-10 integer in [0, max] (no trailing junk, no sign wrap).
+bool ParseUint(const char* text, long max, long* out) {
+  char* end = nullptr;
+  const long n = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || n < 0 || n > max) return false;
+  *out = n;
+  return true;
+}
+
+/// Consumes the value of the flag at argv[*i] through ParseUint.
+bool ParseFlagUint(int argc, char** argv, int* i, long max, long* out) {
+  return *i + 1 < argc && ParseUint(argv[++*i], max, out);
+}
+
+/// `text` must be a whole finite decimal (weights, durations).
+bool ParseReal(const char* text, double* out) {
+  char* end = nullptr;
+  const double x = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(x)) return false;
+  *out = x;
+  return true;
+}
+
+/// Consumes the value of the flag at argv[*i] through ParseReal.
+bool ParseFlagReal(int argc, char** argv, int* i, double* out) {
+  return *i + 1 < argc && ParseReal(argv[++*i], out);
+}
+
+/// `--side` takes exactly `u` (upper layer) or `l` (lower layer).
+bool ParseSide(const char* text, bool* lower) {
+  if (std::strcmp(text, "u") != 0 && std::strcmp(text, "l") != 0) {
+    return false;
+  }
+  *lower = text[0] == 'l';
+  return true;
+}
+
+constexpr long kMaxU32 = 0xffffffffL;
+constexpr long kMaxMs = 1L << 30;  ///< every millisecond knob
+
 struct QueryArgs {
   std::string graph_path;
   std::string bundle_path;  ///< --bundle: self-contained, no graph file
@@ -176,24 +220,24 @@ bool ParseQueryArgs(int argc, char** argv, QueryArgs* args) {
   // --bundle the graph positional disappears (the bundle embeds it), and
   // with --batch the q/alpha/beta positionals disappear.
   std::vector<const char*> pos;
+  long n = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--index") == 0 && i + 1 < argc) {
       args->index_path = argv[++i];
     } else if (std::strcmp(argv[i], "--bundle") == 0 && i + 1 < argc) {
       args->bundle_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--side") == 0 && i + 1 < argc) {
-      args->lower_side = (argv[++i][0] == 'l');
+    } else if (std::strcmp(argv[i], "--side") == 0) {
+      if (i + 1 >= argc || !ParseSide(argv[++i], &args->lower_side)) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--algo") == 0 && i + 1 < argc) {
       args->algo = argv[++i];
       args->algo_set = true;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       args->batch_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 0 || n > 1024) {
-        return false;  // 0 = hardware concurrency
-      }
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      // 0 = hardware concurrency
+      if (!ParseFlagUint(argc, argv, &i, 1024, &n)) return false;
       args->num_threads = static_cast<unsigned>(n);
       args->batch_only_flags = true;
     } else if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
@@ -213,12 +257,16 @@ bool ParseQueryArgs(int argc, char** argv, QueryArgs* args) {
   if (pos.size() != expect) return false;
   std::size_t k = 0;
   if (args->bundle_path.empty()) args->graph_path = pos[k++];
-  if (args->batch_path.empty()) {
-    args->q = static_cast<abcs::VertexId>(std::atol(pos[k]));
-    args->alpha = static_cast<uint32_t>(std::atol(pos[k + 1]));
-    args->beta = static_cast<uint32_t>(std::atol(pos[k + 2]));
-  }
   if (!args->batch_path.empty()) return true;
+  long q = 0, alpha = 0, beta = 0;
+  if (!ParseUint(pos[k], kMaxU32, &q) ||
+      !ParseUint(pos[k + 1], kMaxU32, &alpha) ||
+      !ParseUint(pos[k + 2], kMaxU32, &beta)) {
+    return false;
+  }
+  args->q = static_cast<abcs::VertexId>(q);
+  args->alpha = static_cast<uint32_t>(alpha);
+  args->beta = static_cast<uint32_t>(beta);
   // --threads/--method only mean something in batch mode; rejecting them
   // here keeps "asked for a method" distinguishable from "served by it".
   if (args->batch_only_flags) return false;
@@ -227,8 +275,7 @@ bool ParseQueryArgs(int argc, char** argv, QueryArgs* args) {
 
 /// What a query-like command operates on: the graph (edge-list file or the
 /// one embedded in an opened bundle) plus the bundle, when one backs the
-/// session — either via --bundle or via an --index file that sniffed as
-/// ABCSPAK1.
+/// session — either via --bundle or via --index.
 struct Session {
   abcs::BipartiteGraph graph_storage;
   std::unique_ptr<abcs::IndexBundle> bundle;
@@ -252,36 +299,21 @@ abcs::Status LoadSession(const QueryArgs& args, Session* s) {
       abcs::LoadEdgeList(args.graph_path, &s->graph_storage,
                          /*zero_based=*/true));
   s->graph = &s->graph_storage;
+  if (!args.index_path.empty()) {
+    // The --index bundle is cross-checked against the supplied graph —
+    // topology checksum and weight digest — so a stale file fails loudly.
+    ABCS_RETURN_NOT_OK(abcs::OpenIndexBundle(args.index_path, &s->bundle));
+    ABCS_RETURN_NOT_OK(abcs::VerifyBundleMatchesGraph(*s->bundle, *s->graph));
+  }
   return abcs::Status::OK();
 }
 
-/// Resolves the I_δ that serves this session: the bundle's (zero-copy), a
-/// loaded --index file (bundle or legacy dump, by magic), or a fresh
-/// build. An --index bundle is cross-checked against the supplied graph —
-/// topology checksum and weight digest — so a stale file fails loudly.
-abcs::Status GetIndex(const QueryArgs& args, Session* s,
-                      abcs::DeltaIndex* owned,
-                      const abcs::DeltaIndex** index) {
-  if (s->bundle != nullptr) {
-    *index = &s->bundle->delta_index();
-    return abcs::Status::OK();
-  }
-  if (!args.index_path.empty()) {
-    if (abcs::LooksLikeIndexBundle(args.index_path)) {
-      ABCS_RETURN_NOT_OK(abcs::OpenIndexBundle(args.index_path, &s->bundle));
-      ABCS_RETURN_NOT_OK(
-          abcs::VerifyBundleMatchesGraph(*s->bundle, *s->graph));
-      *index = &s->bundle->delta_index();
-      return abcs::Status::OK();
-    }
-    ABCS_RETURN_NOT_OK(abcs::LoadDeltaIndex(args.index_path, *s->graph,
-                                            owned));
-    *index = owned;
-    return abcs::Status::OK();
-  }
-  *owned = abcs::DeltaIndex::Build(*s->graph);
-  *index = owned;
-  return abcs::Status::OK();
+/// Resolves the I_δ that serves this session: the bundle's (zero-copy) or
+/// a fresh build.
+const abcs::DeltaIndex* GetIndex(const Session& s, abcs::DeltaIndex* owned) {
+  if (s.bundle != nullptr) return &s.bundle->delta_index();
+  *owned = abcs::DeltaIndex::Build(*s.graph);
+  return owned;
 }
 
 void PrintSubgraph(const abcs::BipartiteGraph& g, const abcs::Subgraph& sub) {
@@ -438,14 +470,12 @@ abcs::Status ParseBatchFile(const std::string& path,
 // extraction by `algo` (kAuto = per-query planner). stdout carries only
 // thread-count-invariant data; timing and the phase/kernel breakdown go to
 // stderr.
-int RunScsBatchQueries(const QueryArgs& args, Session* session,
+int RunScsBatchQueries(const QueryArgs& args, const Session& session,
                        const std::vector<abcs::QueryRequest>& requests,
                        abcs::ScsAlgo algo) {
-  const abcs::BipartiteGraph& g = *session->graph;
+  const abcs::BipartiteGraph& g = *session.graph;
   abcs::DeltaIndex owned_delta;
-  const abcs::DeltaIndex* delta = &owned_delta;
-  abcs::Status st = GetIndex(args, session, &owned_delta, &delta);
-  if (!st.ok()) return Fail(st);
+  const abcs::DeltaIndex* delta = GetIndex(session, &owned_delta);
 
   const abcs::QueryEngine engine(g, abcs::QueryMethod::kDelta, delta);
   abcs::ScsBatchOptions options;
@@ -517,7 +547,7 @@ int CmdQueryBatch(const QueryArgs& args) {
     } else {
       return Fail(abcs::Status::InvalidArgument("unknown --method"));
     }
-    return RunScsBatchQueries(args, &session, requests, algo);
+    return RunScsBatchQueries(args, session, requests, algo);
   }
 
   abcs::QueryMethod method;
@@ -536,33 +566,19 @@ int CmdQueryBatch(const QueryArgs& args) {
   const abcs::DeltaIndex* delta = &owned_delta;
   const abcs::BicoreIndex* bicore = &owned_bicore;
   if (method == abcs::QueryMethod::kDelta) {
-    st = GetIndex(args, &session, &owned_delta, &delta);
-    if (!st.ok()) return Fail(st);
-  } else {
-    // A bundle carries I_v too, so bicore batches skip the rebuild; a
-    // legacy --index dump only holds I_δ, and the online method uses no
-    // index at all — silently ignoring --index in either case would hide
-    // a rebuild (or a no-op) behind an apparently-used index file.
-    if (!args.index_path.empty()) {
-      if (method != abcs::QueryMethod::kBicore ||
-          !abcs::LooksLikeIndexBundle(args.index_path)) {
-        return Fail(abcs::Status::InvalidArgument(
-            "--index applies to --method delta, or --method bicore with a "
-            "bundle; --method online uses no index"));
-      }
-      st = abcs::OpenIndexBundle(args.index_path, &session.bundle);
-      if (!st.ok()) return Fail(st);
-      st = abcs::VerifyBundleMatchesGraph(*session.bundle, g);
-      if (!st.ok()) return Fail(st);
+    delta = GetIndex(session, &owned_delta);
+  } else if (method == abcs::QueryMethod::kBicore) {
+    // A bundle carries I_v too, so bicore batches skip the rebuild.
+    if (session.bundle != nullptr) {
+      bicore = &session.bundle->bicore_index();
+    } else {
+      owned_bicore = abcs::BicoreIndex::Build(g, nullptr, /*num_threads=*/0);
     }
-    if (method == abcs::QueryMethod::kBicore) {
-      if (session.bundle != nullptr) {
-        bicore = &session.bundle->bicore_index();
-      } else {
-        owned_bicore = abcs::BicoreIndex::Build(g, nullptr,
-                                                /*num_threads=*/0);
-      }
-    }
+  } else if (!args.index_path.empty()) {
+    // Silently ignoring --index would hide a no-op behind an
+    // apparently-used index file.
+    return Fail(abcs::Status::InvalidArgument(
+        "--method online uses no index; drop --index"));
   }
 
   const abcs::QueryEngine engine(g, method, delta, bicore);
@@ -606,9 +622,7 @@ int CmdQuery(const QueryArgs& args) {
     return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
   }
   abcs::DeltaIndex owned;
-  const abcs::DeltaIndex* index = nullptr;
-  st = GetIndex(args, &session, &owned, &index);
-  if (!st.ok()) return Fail(st);
+  const abcs::DeltaIndex* index = GetIndex(session, &owned);
   abcs::Timer timer;
   const abcs::Subgraph c = index->QueryCommunity(q, args.alpha, args.beta);
   std::printf("# (%u,%u)-community of %s%u in %.2e s\n", args.alpha,
@@ -628,9 +642,7 @@ int CmdScs(const QueryArgs& args) {
     return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
   }
   abcs::DeltaIndex owned;
-  const abcs::DeltaIndex* index = nullptr;
-  st = GetIndex(args, &session, &owned, &index);
-  if (!st.ok()) return Fail(st);
+  const abcs::DeltaIndex* index = GetIndex(session, &owned);
 
   abcs::Timer timer;
   abcs::ScsResult result;
@@ -690,9 +702,7 @@ int CmdProfile(const QueryArgs& args) {
     return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
   }
   abcs::DeltaIndex owned;
-  const abcs::DeltaIndex* index = nullptr;
-  st = GetIndex(args, &session, &owned, &index);
-  if (!st.ok()) return Fail(st);
+  const abcs::DeltaIndex* index = GetIndex(session, &owned);
   // For `profile`, alpha/beta play the role of grid bounds.
   const abcs::SignificanceProfile profile = abcs::ComputeSignificanceProfile(
       g, *index, q, args.alpha, args.beta);
@@ -752,14 +762,6 @@ struct ServeArgs {
 
 bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
   std::vector<const char*> pos;
-  auto parse_u32 = [&](int* i, long max, long* out) {
-    if (*i + 1 >= argc) return false;
-    char* end = nullptr;
-    const long n = std::strtol(argv[++*i], &end, 10);
-    if (end == argv[*i] || *end != '\0' || n < 0 || n > max) return false;
-    *out = n;
-    return true;
-  };
   long n = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--bundle") == 0 && i + 1 < argc) {
@@ -769,48 +771,48 @@ bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
     } else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) {
       args->port_file = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      if (!parse_u32(&i, 65535, &n)) return false;
+      if (!ParseFlagUint(argc, argv, &i, 65535, &n)) return false;
       args->options.port = static_cast<uint16_t>(n);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!parse_u32(&i, 1024, &n)) return false;
+      if (!ParseFlagUint(argc, argv, &i, 1024, &n)) return false;
       args->options.num_threads = static_cast<unsigned>(n);
     } else if (std::strcmp(argv[i], "--max-connections") == 0) {
-      if (!parse_u32(&i, 1 << 20, &n) || n == 0) return false;
+      if (!ParseFlagUint(argc, argv, &i, 1 << 20, &n) || n == 0) return false;
       args->options.max_connections = static_cast<unsigned>(n);
     } else if (std::strcmp(argv[i], "--max-queue") == 0) {
-      if (!parse_u32(&i, 1 << 24, &n) || n == 0) return false;
+      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n) || n == 0) return false;
       args->options.max_queue = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n)) return false;
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
       args->options.default_deadline_ms = static_cast<uint32_t>(n);
     } else if (std::strcmp(argv[i], "--no-memo") == 0) {
       args->options.enable_memo = false;
     } else if (std::strcmp(argv[i], "--enable-updates") == 0) {
       args->options.enable_updates = true;
     } else if (std::strcmp(argv[i], "--update-queue") == 0) {
-      if (!parse_u32(&i, 1 << 24, &n) || n == 0) return false;
+      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n) || n == 0) return false;
       args->options.update_queue = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--compact-path") == 0 && i + 1 < argc) {
       args->options.compact_path = argv[++i];
     } else if (std::strcmp(argv[i], "--compact-every") == 0) {
-      if (!parse_u32(&i, 1 << 24, &n)) return false;
+      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n)) return false;
       args->options.compact_every = static_cast<uint32_t>(n);
     } else if (std::strcmp(argv[i], "--write-deadline-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n)) return false;
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
       args->options.write_deadline_ms = static_cast<uint32_t>(n);
     } else if (std::strcmp(argv[i], "--max-out-kb") == 0) {
-      if (!parse_u32(&i, 1 << 22, &n) || n == 0) return false;
+      if (!ParseFlagUint(argc, argv, &i, 1 << 22, &n) || n == 0) return false;
       args->options.max_output_buffer = static_cast<std::size_t>(n) << 10;
     } else if (std::strcmp(argv[i], "--watchdog-interval-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n)) return false;
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
       args->options.watchdog_interval_ms = static_cast<uint32_t>(n);
     } else if (std::strcmp(argv[i], "--sndbuf-kb") == 0) {
-      if (!parse_u32(&i, 1 << 20, &n) || n == 0) return false;
+      if (!ParseFlagUint(argc, argv, &i, 1 << 20, &n) || n == 0) return false;
       args->options.so_sndbuf = static_cast<uint32_t>(n) << 10;
     } else if (std::strcmp(argv[i], "--fast-drain") == 0) {
       args->options.fast_drain = true;
     } else if (std::strcmp(argv[i], "--scrub-interval-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n) || n == 0) return false;
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n) || n == 0) return false;
       args->options.scrub_interval_ms = static_cast<uint32_t>(n);
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       return false;
@@ -848,9 +850,7 @@ int CmdServe(const ServeArgs& args) {
   // The daemon serves every method, so it needs both indexes resident: the
   // bundle maps them zero-copy; a raw edge list pays one build at startup.
   abcs::DeltaIndex owned_delta;
-  const abcs::DeltaIndex* delta = nullptr;
-  st = GetIndex(qargs, &session, &owned_delta, &delta);
-  if (!st.ok()) return Fail(st);
+  const abcs::DeltaIndex* delta = GetIndex(session, &owned_delta);
   abcs::BicoreIndex owned_bicore;
   const abcs::BicoreIndex* bicore = nullptr;
   if (session.bundle != nullptr) {
@@ -969,70 +969,83 @@ struct ClientArgs {
 
 bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
   std::vector<const char*> pos;
+  long n = 0;
+  // `--insert u v w`, `--remove u v`, `--reweight u v w` (layer-local).
+  auto parse_update = [&](int* i, abcs::serve::UpdateOp op) {
+    ClientArgs::UpdateSpec spec;
+    spec.op = op;
+    long u = 0, v = 0;
+    if (!ParseFlagUint(argc, argv, i, kMaxU32, &u) ||
+        !ParseFlagUint(argc, argv, i, kMaxU32, &v)) {
+      return false;
+    }
+    if (op != abcs::serve::UpdateOp::kRemoveEdge &&
+        !ParseFlagReal(argc, argv, i, &spec.weight)) {
+      return false;
+    }
+    spec.u = static_cast<uint32_t>(u);
+    spec.v = static_cast<uint32_t>(v);
+    args->updates.push_back(spec);
+    return true;
+  };
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
       args->host = argv[++i];
-    } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      args->port = std::atol(argv[++i]);
+    } else if (std::strcmp(argv[i], "--port") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, 65535, &n) || n == 0) return false;
+      args->port = n;
     } else if (std::strcmp(argv[i], "--ping") == 0) {
       args->ping = true;
     } else if (std::strcmp(argv[i], "--health") == 0) {
       args->health = true;
-    } else if (std::strcmp(argv[i], "--connect-timeout-ms") == 0 &&
-               i + 1 < argc) {
-      args->transport.connect_timeout_ms =
-          static_cast<uint32_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
-      args->transport.io_timeout_ms =
-          static_cast<uint32_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) return false;
+    } else if (std::strcmp(argv[i], "--connect-timeout-ms") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
+      args->transport.connect_timeout_ms = static_cast<uint32_t>(n);
+    } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
+      args->transport.io_timeout_ms = static_cast<uint32_t>(n);
+    } else if (std::strcmp(argv[i], "--retries") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, 1024, &n) || n == 0) return false;
       args->transport.max_attempts = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--rcvbuf-kb") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) return false;
+    } else if (std::strcmp(argv[i], "--rcvbuf-kb") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, 1 << 20, &n) || n == 0) return false;
       args->transport.so_rcvbuf = static_cast<uint32_t>(n) << 10;
-    } else if (std::strcmp(argv[i], "--flood") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) return false;
+    } else if (std::strcmp(argv[i], "--flood") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n) || n == 0) return false;
       args->flood = static_cast<unsigned>(n);
-    } else if (std::strcmp(argv[i], "--hold-ms") == 0 && i + 1 < argc) {
-      args->hold_ms = static_cast<uint32_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--hold-ms") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
+      args->hold_ms = static_cast<uint32_t>(n);
     } else if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
       if (!abcs::serve::ParseWireMethod(argv[++i], &args->method)) {
         return false;
       }
-    } else if (std::strcmp(argv[i], "--side") == 0 && i + 1 < argc) {
-      args->lower_side = (argv[++i][0] == 'l');
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      args->deadline_ms = static_cast<uint32_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--side") == 0) {
+      if (i + 1 >= argc || !ParseSide(argv[++i], &args->lower_side)) {
+        return false;
+      }
+    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
+      args->deadline_ms = static_cast<uint32_t>(n);
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       args->batch_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
-      args->connections = static_cast<unsigned>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      args->duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--insert") == 0 && i + 3 < argc) {
-      ClientArgs::UpdateSpec s;
-      s.op = abcs::serve::UpdateOp::kInsertEdge;
-      s.u = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.v = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.weight = std::atof(argv[++i]);
-      args->updates.push_back(s);
-    } else if (std::strcmp(argv[i], "--remove") == 0 && i + 2 < argc) {
-      ClientArgs::UpdateSpec s;
-      s.op = abcs::serve::UpdateOp::kRemoveEdge;
-      s.u = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.v = static_cast<uint32_t>(std::atol(argv[++i]));
-      args->updates.push_back(s);
-    } else if (std::strcmp(argv[i], "--reweight") == 0 && i + 3 < argc) {
-      ClientArgs::UpdateSpec s;
-      s.op = abcs::serve::UpdateOp::kReweightEdge;
-      s.u = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.v = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.weight = std::atof(argv[++i]);
-      args->updates.push_back(s);
+    } else if (std::strcmp(argv[i], "--connections") == 0) {
+      if (!ParseFlagUint(argc, argv, &i, 1024, &n) || n == 0) return false;
+      args->connections = static_cast<unsigned>(n);
+    } else if (std::strcmp(argv[i], "--duration") == 0) {
+      // Positive and at most a day: the soak sleeps for this long.
+      if (!ParseFlagReal(argc, argv, &i, &args->duration_s) ||
+          args->duration_s <= 0 || args->duration_s > 86400) {
+        return false;
+      }
+    } else if (std::strcmp(argv[i], "--insert") == 0) {
+      if (!parse_update(&i, abcs::serve::UpdateOp::kInsertEdge)) return false;
+    } else if (std::strcmp(argv[i], "--remove") == 0) {
+      if (!parse_update(&i, abcs::serve::UpdateOp::kRemoveEdge)) return false;
+    } else if (std::strcmp(argv[i], "--reweight") == 0) {
+      if (!parse_update(&i, abcs::serve::UpdateOp::kReweightEdge)) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--commit") == 0) {
       args->updates.push_back(ClientArgs::UpdateSpec{});  // kCommit
     } else if (std::strcmp(argv[i], "--update-file") == 0 && i + 1 < argc) {
@@ -1043,7 +1056,7 @@ bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
       pos.push_back(argv[i]);
     }
   }
-  if (args->port < 1 || args->port > 65535) return false;
+  if (args->port < 0) return false;  // --port is mandatory
   const bool update_mode = !args->updates.empty() || !args->update_file.empty();
   if (args->ping || args->health) {
     return !(args->ping && args->health) && pos.empty() &&
@@ -1064,10 +1077,16 @@ bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
   if (pos.size() != 3 || args->connections != 0 || args->duration_s > 0) {
     return false;
   }
+  long q = 0, alpha = 0, beta = 0;
+  if (!ParseUint(pos[0], kMaxU32, &q) ||
+      !ParseUint(pos[1], kMaxU32, &alpha) ||
+      !ParseUint(pos[2], kMaxU32, &beta)) {
+    return false;
+  }
   args->single = true;
-  args->q = static_cast<uint32_t>(std::atol(pos[0]));
-  args->alpha = static_cast<uint32_t>(std::atol(pos[1]));
-  args->beta = static_cast<uint32_t>(std::atol(pos[2]));
+  args->q = static_cast<uint32_t>(q);
+  args->alpha = static_cast<uint32_t>(alpha);
+  args->beta = static_cast<uint32_t>(beta);
   return args->alpha >= 1 && args->beta >= 1;
 }
 
