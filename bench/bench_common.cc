@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <thread>
 
 #include "common/rng.h"
 
@@ -61,6 +63,12 @@ double StdDev(const std::vector<double>& xs) {
   double acc = 0;
   for (double x : xs) acc += (x - mean) * (x - mean);
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
+}
+
+std::string MachineJson() {
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" ABCS_BENCH_COMPILER
+         "\", \"build_type\": \"" ABCS_BENCH_BUILD_TYPE "\"}";
 }
 
 uint32_t NumQueries() {

@@ -35,6 +35,10 @@ uint32_t ScaledParam(uint32_t delta, double c);
 double Mean(const std::vector<double>& xs);
 double StdDev(const std::vector<double>& xs);
 
+/// The machine a BENCH file was recorded on, as a JSON object:
+/// {"nproc": …, "compiler": "<id> <version>", "build_type": "…"}.
+std::string MachineJson();
+
 /// Number of query repetitions; honours the ABCS_BENCH_QUERIES environment
 /// variable (default 100, the paper's setting).
 uint32_t NumQueries();

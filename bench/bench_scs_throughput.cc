@@ -3,7 +3,8 @@
 // incremental SCS-Binary targets). Communities are retrieved once per query
 // point; the timed loop runs only the extraction kernels through one pooled
 // ScsWorkspace + QueryScratch, matching the query engine's steady-state
-// discipline. Emits BENCH_scs.json.
+// discipline. Emits BENCH_scs.json, headed by the machine it ran on
+// (nproc, compiler, build type).
 //
 // Per (dataset × weights) cell the summary reports auto_vs_best: ScsAuto
 // total time / best single-kernel total time (planner overhead; ≤1.10
@@ -200,8 +201,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
-  std::fprintf(f, "{\n  \"num_queries\": %u,\n  \"results\": [\n",
-               num_queries);
+  std::fprintf(f,
+               "{\n  \"machine\": %s,\n  \"num_queries\": %u,\n"
+               "  \"results\": [\n",
+               abcs::bench::MachineJson().c_str(), num_queries);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CellRow& r = rows[i];
     std::fprintf(f,

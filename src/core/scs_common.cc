@@ -26,6 +26,12 @@ uint64_t DescendingWeightKey(Weight w) {
 constexpr uint32_t kMaxCountingDistinct = 128;
 constexpr uint32_t kHashTableSize = 512;  // power of two, ≥ 4× the cap
 
+// Radix path: the most significant varying key bits it sorts (the rest are
+// left to a per-run fix-up), in digits of at most kRadixDigitBits bits —
+// so at most three passes with histograms that stay in L1.
+constexpr int kRadixKeyBits = 32;
+constexpr int kRadixDigitBits = 11;
+
 std::size_t HashWeightKey(uint64_t key) {
   return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
                                   (64 - 9)) &
@@ -91,12 +97,12 @@ void LocalGraph::BuildFrom(const BipartiteGraph& g,
     is_upper_[i] = g.IsUpper(global_of_[i]) ? 1 : 0;
   }
 
-  // The weight-rank order: non-increasing weight, ties by pool position.
-  // Duplicate-heavy pools (≤ kMaxCountingDistinct distinct weights, found
-  // with a pooled stamped hash table) take an O(m) counting sort over the
-  // distinct values; everything else falls back to a comparison sort over
-  // packed (descending-key, pos) pairs — the tie-break is deterministic
-  // either way and both paths produce the identical order.
+  // The weight-rank order: non-increasing weight, ties by pool position,
+  // i.e. pool indices sorted by (descending-key, pos). Duplicate-heavy
+  // pools (≤ kMaxCountingDistinct distinct weights, found with a pooled
+  // stamped hash table) take an O(m) counting sort over the distinct
+  // values; everything else takes a stable radix sort on the keys (see
+  // RankByRadix). Both paths produce the identical order.
   const uint32_t m = static_cast<uint32_t>(build_edges_.size());
   edges_.resize(m);
   if (ht_stamp_.size() != kHashTableSize) {
@@ -136,7 +142,7 @@ void LocalGraph::BuildFrom(const BipartiteGraph& g,
   if (counting) {
     // Rank the ≤128 distinct keys, then scatter edges bucket by bucket in
     // pool order — stable within a bucket, so the result matches the
-    // comparison sort bit for bit.
+    // radix path bit for bit.
     const uint32_t nb = static_cast<uint32_t>(bucket_key_.size());
     build_rank_.resize(nb);
     for (uint32_t b = 0; b < nb; ++b) build_rank_[b] = {bucket_key_[b], b};
@@ -155,14 +161,7 @@ void LocalGraph::BuildFrom(const BipartiteGraph& g,
       edges_[bucket_cursor_[bucket_rank_[bucket_of_[i]]]++] = build_edges_[i];
     }
   } else {
-    build_rank_.resize(m);
-    for (uint32_t i = 0; i < m; ++i) {
-      build_rank_[i] = {DescendingWeightKey(build_edges_[i].w), i};
-    }
-    std::sort(build_rank_.begin(), build_rank_.end());
-    for (uint32_t r = 0; r < m; ++r) {
-      edges_[r] = build_edges_[build_rank_[r].second];
-    }
+    RankByRadix();
   }
 
   // Distinct-weight prefix table.
@@ -190,6 +189,89 @@ void LocalGraph::BuildFrom(const BipartiteGraph& g,
     const LocalEdge& le = edges_[pos];
     arcs_[build_cursor_[le.u]++] = LocalArc{le.v, pos};
     arcs_[build_cursor_[le.v]++] = LocalArc{le.u, pos};
+  }
+}
+
+void LocalGraph::RankByRadix() {
+  // Keys, with their range, in one pass. Only the bits in which the keys
+  // vary matter; of those, the kRadixKeyBits most significant ones are
+  // radix-sorted and the rest (if any) are resolved by the fix-up below.
+  const uint32_t m = static_cast<uint32_t>(build_edges_.size());
+  radix_a_.resize(m);
+  radix_b_.resize(m);
+  uint64_t lo = ~uint64_t{0};
+  uint64_t hi = 0;
+  for (uint32_t i = 0; i < m; ++i) {
+    const uint64_t key = DescendingWeightKey(build_edges_[i].w);
+    radix_a_[i] = key;
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+  }
+  const int varying = static_cast<int>(std::bit_width(hi - lo));
+  const int shift = std::max(0, varying - kRadixKeyBits);
+  const int width = varying - shift;
+  const int passes = (width + kRadixDigitBits - 1) / kRadixDigitBits;
+  const int digit_bits = passes == 0 ? 0 : (width + passes - 1) / passes;
+  const uint32_t buckets = uint32_t{1} << digit_bits;
+  const uint64_t mask = buckets - 1;
+  auto digit = [&](uint64_t packed, int pass) {
+    return static_cast<uint32_t>((packed >> (32 + pass * digit_bits)) & mask);
+  };
+
+  // Pack (top varying key bits, pool index) and count every pass's digits.
+  radix_count_.assign(static_cast<std::size_t>(passes) * buckets, 0);
+  for (uint32_t i = 0; i < m; ++i) {
+    radix_a_[i] = (((radix_a_[i] - lo) >> shift) << 32) | i;
+    for (int p = 0; p < passes; ++p) {
+      ++radix_count_[p * buckets + digit(radix_a_[i], p)];
+    }
+  }
+
+  // LSD passes, each a stable scatter; a pass whose digit is the same for
+  // every key moves nothing and is skipped. Starting from pool order,
+  // stability leaves equal digit strings ordered by pool index.
+  uint64_t* src = radix_a_.data();
+  uint64_t* dst = radix_b_.data();
+  for (int p = 0; p < passes; ++p) {
+    uint32_t* count = radix_count_.data() + p * buckets;
+    if (count[digit(src[0], p)] == m) continue;
+    uint32_t sum = 0;
+    for (uint32_t b = 0; b < buckets; ++b) {
+      const uint32_t c = count[b];
+      count[b] = sum;
+      sum += c;
+    }
+    for (uint32_t i = 0; i < m; ++i) dst[count[digit(src[i], p)]++] = src[i];
+    std::swap(src, dst);
+  }
+
+  constexpr uint64_t kPosMask = 0xFFFFFFFFULL;
+  for (uint32_t r = 0; r < m; ++r) {
+    edges_[r] = build_edges_[src[r] & kPosMask];
+  }
+  if (shift == 0) return;  // the radix saw every varying bit
+
+  // Fix-up: a run sharing the radix-sorted bits is in pool order. That is
+  // final when the run is one repeated weight (the common case); keys that
+  // differ only below the radix resolution get their run sorted by
+  // (key, pos) instead — the worst case is one run of all m edges.
+  for (uint32_t begin = 0, end; begin < m; begin = end) {
+    end = begin + 1;
+    while (end < m && (src[end] >> 32) == (src[begin] >> 32)) ++end;
+    if (end - begin == 1) continue;
+    const uint64_t first = DescendingWeightKey(edges_[begin].w);
+    uint32_t r = begin + 1;
+    while (r < end && DescendingWeightKey(edges_[r].w) == first) ++r;
+    if (r == end) continue;
+    build_rank_.resize(end - begin);
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t pos = static_cast<uint32_t>(src[k] & kPosMask);
+      build_rank_[k - begin] = {DescendingWeightKey(build_edges_[pos].w), pos};
+    }
+    std::sort(build_rank_.begin(), build_rank_.end());
+    for (uint32_t k = begin; k < end; ++k) {
+      edges_[k] = build_edges_[build_rank_[k - begin].second];
+    }
   }
 }
 

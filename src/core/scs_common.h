@@ -74,9 +74,12 @@ struct ScsResult {
 ///    SCS-Binary probes prefix lengths — none of them sorts or copies the
 ///    edge set again.
 ///
-/// Built in O(size(sub) log size(sub)) once; `BuildFrom` reuses every
-/// internal buffer, so a pooled instance (see ScsWorkspace) performs zero
-/// steady-state allocations across a batch of queries.
+/// Built once per query in O(size(sub)) (a counting sort or a stable radix
+/// sort on the weight keys; only weights closer than the radix resolution
+/// fall back to an O(k log k) sort of their run, so the worst case is
+/// O(size(sub) log size(sub))). `BuildFrom` reuses every internal buffer,
+/// so a pooled instance (see ScsWorkspace) performs zero steady-state
+/// allocations across a batch of queries.
 class LocalGraph {
  public:
   /// An edge of the local graph; `pos` (its index in `edges()`) doubles as
@@ -133,6 +136,10 @@ class LocalGraph {
   uint32_t DistinctIndexOfRank(uint32_t rank) const;
 
  private:
+  // Fills edges_ from build_edges_ in rank order by a stable LSD radix sort
+  // on the weight keys (the path for pools with many distinct weights).
+  void RankByRadix();
+
   std::vector<VertexId> global_of_;
   std::vector<uint8_t> is_upper_;
   std::vector<LocalEdge> edges_;  // rank order
@@ -149,6 +156,11 @@ class LocalGraph {
   // Build-time pools (kept for capacity reuse).
   std::vector<LocalEdge> build_edges_;
   std::vector<std::pair<uint64_t, uint32_t>> build_rank_;
+  // Radix ping-pong buffers of packed (key digits << 32 | pool index) and
+  // the per-pass digit histograms.
+  std::vector<uint64_t> radix_a_;
+  std::vector<uint64_t> radix_b_;
+  std::vector<uint32_t> radix_count_;
   std::vector<uint32_t> build_cursor_;
   // Pooled open-address table for the duplicate-heavy counting-sort path:
   // slot i holds a weight key iff ht_stamp_[i] == ht_epoch_.

@@ -7,16 +7,16 @@ namespace abcs {
 
 void GraphBuilder::Reserve(uint32_t num_upper, uint32_t num_lower,
                            std::size_t num_edges) {
-  num_upper_ = std::max(num_upper_, num_upper);
-  num_lower_ = std::max(num_lower_, num_lower);
+  num_upper_ = std::max<uint64_t>(num_upper_, num_upper);
+  num_lower_ = std::max<uint64_t>(num_lower_, num_lower);
   us_.reserve(num_edges);
   vs_.reserve(num_edges);
   ws_.reserve(num_edges);
 }
 
 void GraphBuilder::AddEdge(uint32_t u, uint32_t v, Weight w) {
-  num_upper_ = std::max(num_upper_, u + 1);
-  num_lower_ = std::max(num_lower_, v + 1);
+  num_upper_ = std::max(num_upper_, uint64_t{u} + 1);
+  num_lower_ = std::max(num_lower_, uint64_t{v} + 1);
   us_.push_back(u);
   vs_.push_back(v);
   ws_.push_back(w);
@@ -24,6 +24,14 @@ void GraphBuilder::AddEdge(uint32_t u, uint32_t v, Weight w) {
 
 Status GraphBuilder::Build(BipartiteGraph* out,
                            DuplicatePolicy policy) const {
+  if (num_upper_ + num_lower_ >= kInvalidVertex) {
+    return Status::InvalidArgument(
+        "vertex id space overflow: " + std::to_string(num_upper_) +
+        " upper + " + std::to_string(num_lower_) +
+        " lower vertices do not fit below kInvalidVertex");
+  }
+  const uint32_t nu = static_cast<uint32_t>(num_upper_);
+  const uint32_t nl = static_cast<uint32_t>(num_lower_);
   const std::size_t raw = us_.size();
 
   // Sort edge indices by (u, v) to group duplicates.
@@ -59,15 +67,15 @@ Status GraphBuilder::Build(BipartiteGraph* out,
       }
       ++j;
     }
-    edges.push_back(Edge{u, num_upper_ + v, w});
+    edges.push_back(Edge{u, nu + v, w});
     i = j;
   }
 
   BipartiteGraph g;
-  g.num_upper_ = num_upper_;
-  g.num_lower_ = num_lower_;
+  g.num_upper_ = nu;
+  g.num_lower_ = nl;
 
-  const uint32_t n = num_upper_ + num_lower_;
+  const uint32_t n = nu + nl;
   const std::size_t m = edges.size();
   std::vector<uint32_t> offsets(n + 1, 0);
   for (const Edge& e : edges) {

@@ -39,7 +39,9 @@ class GraphBuilder {
   std::size_t NumPendingEdges() const { return us_.size(); }
 
   /// Materialises the CSR graph. On success `*out` holds the graph and the
-  /// builder may be reused after `Clear()`.
+  /// builder may be reused after `Clear()`. Fails with InvalidArgument when
+  /// the unified id space (num_upper + num_lower vertices) would not fit
+  /// below kInvalidVertex.
   Status Build(BipartiteGraph* out,
                DuplicatePolicy policy = DuplicatePolicy::kKeepMax) const;
 
@@ -47,8 +49,10 @@ class GraphBuilder {
   void Clear();
 
  private:
-  uint32_t num_upper_ = 0;
-  uint32_t num_lower_ = 0;
+  // 64-bit so that `id + 1` for the largest uint32_t id cannot wrap; Build
+  // refuses layer sizes whose sum does not fit the unified id space.
+  uint64_t num_upper_ = 0;
+  uint64_t num_lower_ = 0;
   std::vector<uint32_t> us_;
   std::vector<uint32_t> vs_;
   std::vector<Weight> ws_;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
 
 #include "graph/bipartite_graph.h"
 #include "graph/graph_builder.h"
@@ -122,6 +123,18 @@ TEST(GraphBuilderTest, ClearResets) {
   EXPECT_DOUBLE_EQ(g.GetWeight(0), 2.0);
 }
 
+TEST(GraphBuilderTest, RefusesIdSpaceOverflow) {
+  // The largest uint32_t id used to wrap `u + 1` to 0 and crash Build.
+  GraphBuilder b;
+  b.AddEdge(0xFFFFFFFFu, 0, 1.0);
+  BipartiteGraph g;
+  EXPECT_EQ(b.Build(&g).code(), Status::Code::kInvalidArgument);
+  // Each layer fits on its own, but not both in one unified id space.
+  b.Clear();
+  b.AddEdge(0x80000000u, 0x80000000u, 1.0);
+  EXPECT_EQ(b.Build(&g).code(), Status::Code::kInvalidArgument);
+}
+
 TEST(BipartiteGraphTest, MaxDegrees) {
   BipartiteGraph g =
       MakeGraph({{0, 0, 1}, {0, 1, 1}, {0, 2, 1}, {1, 0, 1}, {2, 0, 1}});
@@ -205,6 +218,59 @@ TEST_F(GraphIoTest, NegativeIdIsCorruption) {
   BipartiteGraph g;
   Status st = LoadEdgeList(path_, &g, /*zero_based=*/false);
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
+}
+
+// Writes `body` to the test file and expects LoadEdgeList to fail with
+// Corruption naming the file and `line`.
+void ExpectCorruptionAt(const std::string& path, const std::string& body,
+                        bool zero_based, std::size_t line) {
+  {
+    std::ofstream out(path);
+    out << body;
+  }
+  BipartiteGraph g;
+  const Status st = LoadEdgeList(path, &g, zero_based);
+  EXPECT_EQ(st.code(), Status::Code::kCorruption) << body;
+  EXPECT_NE(st.ToString().find(path + ":" + std::to_string(line)),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(GraphIoTest, HugeVertexIdIsCorruption) {
+  // 2^32 − 1 crashed the CSR fill; ids in [2^32, 2^63) wrapped silently
+  // (5000000000 became 705032704).
+  ExpectCorruptionAt(path_, "4294967295 0 1.0\n", /*zero_based=*/true, 1);
+  ExpectCorruptionAt(path_, "0 0 1.0\n0 4294967295\n", true, 2);
+  ExpectCorruptionAt(path_, "5000000000 1 1.0\n", true, 1);
+  ExpectCorruptionAt(path_, "% header\n1 5000000000\n", false, 2);
+  // Each layer fits, their sum does not.
+  ExpectCorruptionAt(path_, "2147483648 2147483648\n", true, 1);
+}
+
+TEST_F(GraphIoTest, MalformedWeightIsCorruption) {
+  for (const char* weight : {"abc", "nan", "NaN", "inf", "-inf", "1e999",
+                             "-1e999", "1.5x", "0x"}) {
+    ExpectCorruptionAt(path_, std::string("1 1 2.0\n1 2 ") + weight + "\n",
+                       /*zero_based=*/false, 2);
+  }
+}
+
+TEST_F(GraphIoTest, WellFormedWeightTokensAreAccepted) {
+  // Missing weight (1.0), a weight followed by a KONECT timestamp, and a
+  // subnormal weight, which must load as the exact value.
+  {
+    std::ofstream out(path_);
+    out << "1 1\n";
+    out << "1 2 -2.5 1094763304\n";
+    out << "2 1 4.9406564584124654e-324\n";
+  }
+  BipartiteGraph g;
+  ASSERT_TRUE(LoadEdgeList(path_, &g, /*zero_based=*/false).ok());
+  ASSERT_EQ(g.NumEdges(), 3u);
+  std::set<Weight> weights;
+  for (const Edge& e : g.Edges()) weights.insert(e.w);
+  EXPECT_EQ(weights, (std::set<Weight>{1.0, -2.5,
+                                       4.9406564584124654e-324}));
 }
 
 }  // namespace

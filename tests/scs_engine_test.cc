@@ -267,29 +267,43 @@ TEST(ScsEngineTest, BatchesDeterministicAcrossThreadCountsAndMatchSerial) {
 // ----------------------------------------------- zero-allocation steady --
 
 TEST(ScsEngineTest, ZeroAllocationsSteadyState) {
-  const BipartiteGraph g = RandomWeightedGraph(60, 60, 700, 29, 5);
-  const DeltaIndex delta = DeltaIndex::Build(g);
-  const QueryEngine engine(g, QueryMethod::kDelta, &delta);
-  const std::vector<QueryRequest> requests = MixedRequests(g, 150, 13);
+  // At most 5 distinct weights take the counting-sort rank build; the
+  // continuous UF weights on the same topology take the radix path.
+  const BipartiteGraph dup = RandomWeightedGraph(60, 60, 700, 29, 5);
+  const BipartiteGraph uniform =
+      ApplyWeightModel(dup, WeightModel::kUniform, 29);
+  for (const BipartiteGraph* graph : {&dup, &uniform}) {
+    const BipartiteGraph& g = *graph;
+    const DeltaIndex delta = DeltaIndex::Build(g);
+    const QueryEngine engine(g, QueryMethod::kDelta, &delta);
+    const std::vector<QueryRequest> requests = MixedRequests(g, 150, 13);
 
-  for (const ScsAlgo algo : {ScsAlgo::kAuto, ScsAlgo::kPeel, ScsAlgo::kExpand,
-                             ScsAlgo::kBinary}) {
-    QueryScratch scratch;
-    ScsWorkspace ws;
-    Subgraph community;
-    ScsResult out;
-    auto run_all = [&]() {
-      for (const QueryRequest& r : requests) {
-        engine.Query(r, scratch, &community);
-        ScsQueryInto(g, community, r.q, r.alpha, r.beta, algo, {}, &out,
-                     nullptr, &scratch, &ws);
+    for (const ScsAlgo algo : {ScsAlgo::kAuto, ScsAlgo::kPeel,
+                               ScsAlgo::kExpand, ScsAlgo::kBinary}) {
+      QueryScratch scratch;
+      ScsWorkspace ws;
+      Subgraph community;
+      ScsResult out;
+      uint32_t radix_builds = 0;  // rank builds past the counting-sort cap
+      auto run_all = [&]() {
+        for (const QueryRequest& r : requests) {
+          engine.Query(r, scratch, &community);
+          ScsQueryInto(g, community, r.q, r.alpha, r.beta, algo, {}, &out,
+                       nullptr, &scratch, &ws);
+          radix_builds += ws.lg.NumDistinctWeights() > 128;
+        }
+      };
+      run_all();  // warm-up: grow every pooled buffer to its high-water mark
+      const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+      run_all();  // steady state
+      EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), allocs)
+          << "algo=" << ScsAlgoName(algo) << " uniform=" << (graph == &uniform);
+      if (graph == &uniform) {
+        EXPECT_GT(radix_builds, 0u) << "algo=" << ScsAlgoName(algo);
+      } else {
+        EXPECT_EQ(radix_builds, 0u) << "algo=" << ScsAlgoName(algo);
       }
-    };
-    run_all();  // warm-up: grow every pooled buffer to its high-water mark
-    const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed);
-    run_all();  // steady state
-    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), allocs)
-        << "algo=" << ScsAlgoName(algo);
+    }
   }
 }
 

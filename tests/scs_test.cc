@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/delta_index.h"
 #include "core/online_query.h"
 #include "core/scs_baseline.h"
@@ -303,6 +310,158 @@ TEST(LocalGraphTest, BuildFromReusesCapacityAndMatchesFreshBuild) {
   for (uint32_t i = 0; i < fresh.NumDistinctWeights(); ++i) {
     EXPECT_EQ(pooled.PrefixEnd(i), fresh.PrefixEnd(i));
   }
+}
+
+// Rank order against a reference: a shuffled pool (pool order ≠ edge-id
+// order) must come out as std::stable_sort of the pool by descending
+// weight, with the distinct-weight table and every arc list following it.
+// The pooled LocalGraph is first built over the reversed pool so the
+// comparison also covers buffer reuse. Returns the number of distinct
+// weights so each regime can assert which sort path it reached.
+uint32_t ExpectRankOrderMatchesStableSort(
+    uint64_t seed, uint32_t m, const std::function<Weight(Rng&)>& weight) {
+  BipartiteGraph topo;
+  EXPECT_TRUE(GenErdosRenyiBipartite(70, 70, m, seed, &topo).ok());
+  Rng rng(seed);
+  std::vector<Weight> w(topo.NumEdges());
+  for (Weight& x : w) x = weight(rng);
+  const BipartiteGraph g = topo.WithWeights(w);
+
+  std::vector<EdgeId> pool(g.NumEdges());
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) pool[e] = e;
+  rng.Shuffle(pool);
+  LocalGraph lg;
+  lg.BuildFrom(g, std::vector<EdgeId>(pool.rbegin(), pool.rend()));
+  lg.BuildFrom(g, pool);
+
+  std::vector<EdgeId> ref = pool;
+  std::stable_sort(ref.begin(), ref.end(), [&](EdgeId a, EdgeId b) {
+    return g.GetWeight(a) > g.GetWeight(b);
+  });
+  EXPECT_EQ(lg.NumEdges(), ref.size());
+  if (lg.NumEdges() != ref.size()) return 0;
+  uint32_t mismatches = 0;
+  for (uint32_t r = 0; r < ref.size(); ++r) {
+    mismatches += lg.edges()[r].global != ref[r];
+  }
+  EXPECT_EQ(mismatches, 0u) << "edges() differs from the stable sort";
+
+  std::vector<Weight> distinct;
+  std::vector<uint32_t> prefix_end;
+  for (uint32_t r = 0; r < ref.size(); ++r) {
+    if (r == 0 || g.GetWeight(ref[r]) != g.GetWeight(ref[r - 1])) {
+      if (r != 0) prefix_end.push_back(r);
+      distinct.push_back(g.GetWeight(ref[r]));
+    }
+  }
+  prefix_end.push_back(static_cast<uint32_t>(ref.size()));
+  EXPECT_EQ(lg.NumDistinctWeights(), distinct.size());
+  if (lg.NumDistinctWeights() != distinct.size()) return 0;
+  for (uint32_t i = 0; i < distinct.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(lg.DistinctWeight(i)),
+              std::bit_cast<uint64_t>(distinct[i]))
+        << i;
+    EXPECT_EQ(lg.PrefixEnd(i), prefix_end[i]) << i;
+  }
+
+  // Expected arcs per global vertex: (other endpoint, rank) by rank.
+  std::vector<std::vector<std::pair<VertexId, uint32_t>>> arcs(
+      g.NumVertices());
+  for (uint32_t r = 0; r < ref.size(); ++r) {
+    const Edge& e = g.GetEdge(ref[r]);
+    arcs[e.u].push_back({e.v, r});
+    arcs[e.v].push_back({e.u, r});
+  }
+  for (uint32_t x = 0; x < lg.NumVertices(); ++x) {
+    const auto& want = arcs[lg.GlobalId(x)];
+    const auto got = lg.Neighbors(x);
+    EXPECT_EQ(got.size(), want.size()) << "vertex " << x;
+    if (got.size() != want.size()) continue;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(lg.GlobalId(got[k].to), want[k].first) << x << "/" << k;
+      EXPECT_EQ(got[k].pos, want[k].second) << x << "/" << k;
+    }
+  }
+  return lg.NumDistinctWeights();
+}
+
+TEST(LocalGraphTest, RankOrderMatchesStableSortContinuousWeights) {
+  const uint32_t distinct = ExpectRankOrderMatchesStableSort(
+      101, 3000, [](Rng& rng) { return rng.NextUniform(1.0, 100.0); });
+  EXPECT_GT(distinct, 128u);
+}
+
+TEST(LocalGraphTest, RankOrderMatchesStableSortFewDistinctWeights) {
+  const uint32_t distinct = ExpectRankOrderMatchesStableSort(
+      102, 3000,
+      [](Rng& rng) { return 1.0 + static_cast<double>(rng.NextBounded(100)); });
+  EXPECT_LE(distinct, 128u);
+}
+
+TEST(LocalGraphTest, RankOrderMatchesStableSortManyDistinctHeavyTies) {
+  // ~300 distinct weights over 3000 edges: about ten edges per weight.
+  const uint32_t distinct = ExpectRankOrderMatchesStableSort(
+      103, 3000, [](Rng& rng) {
+        return 0.5 * static_cast<double>(rng.NextBounded(300));
+      });
+  EXPECT_GT(distinct, 128u);
+  EXPECT_LT(distinct, 1000u);
+}
+
+TEST(LocalGraphTest, RankOrderMatchesStableSortSignedZerosAreOneWeight) {
+  // Half the edges carry −0.0 or +0.0, the rest continuous weights of both
+  // signs (radix path) or two values (counting path).
+  const auto zero = [](Rng& rng) { return rng.NextBounded(2) ? -0.0 : 0.0; };
+  const uint32_t radix = ExpectRankOrderMatchesStableSort(
+      104, 3000, [&](Rng& rng) {
+        return rng.NextBounded(2) ? zero(rng) : rng.NextUniform(-50.0, 50.0);
+      });
+  EXPECT_GT(radix, 128u);
+  const uint32_t counting = ExpectRankOrderMatchesStableSort(
+      105, 3000, [&](Rng& rng) {
+        return rng.NextBounded(2) ? zero(rng)
+                                  : static_cast<double>(rng.NextBounded(2));
+      });
+  EXPECT_EQ(counting, 2u);  // {1.0, 0.0}: the signed zeros share a weight
+}
+
+TEST(LocalGraphTest, RankOrderMatchesStableSortNegativeAndSubnormalWeights) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const uint32_t distinct = ExpectRankOrderMatchesStableSort(
+      106, 3000, [&](Rng& rng) {
+        switch (rng.NextBounded(4)) {
+          case 0:
+            return rng.NextUniform(-1000.0, 1000.0);
+          case 1:
+            return -rng.NextUniform(0.0, 1e-3);
+          case 2:  // ±k·denorm_min, k < 64, and ±0
+            return (rng.NextBounded(2) ? -tiny : tiny) *
+                   static_cast<double>(rng.NextBounded(64));
+          default:
+            return static_cast<double>(rng.NextBounded(4)) - 2.0;
+        }
+      });
+  EXPECT_GT(distinct, 128u);
+}
+
+TEST(LocalGraphTest, RankOrderMatchesStableSortUlpClusterWithOutlier) {
+  // 200 consecutive doubles from 1.0 up, plus one 1e300: every cluster key
+  // shares its most significant varying bits, so the whole cluster is one
+  // radix run that only the fix-up can order.
+  bool outlier_drawn = false;
+  const uint32_t distinct = ExpectRankOrderMatchesStableSort(
+      107, 3000, [&](Rng& rng) {
+        if (!outlier_drawn) {
+          outlier_drawn = true;
+          return 1e300;
+        }
+        double w = 1.0;
+        for (uint64_t k = rng.NextBounded(200); k > 0; --k) {
+          w = std::nextafter(w, 2.0);
+        }
+        return w;
+      });
+  EXPECT_GT(distinct, 128u);
 }
 
 TEST(ScsTest, MaximalityNoSupergraphWithSameSignificance) {
