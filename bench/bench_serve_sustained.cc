@@ -1,23 +1,20 @@
 // Sustained-load serving benchmark: open-loop arrivals through the
-// daemon's TaskScheduler, A/B-ing round-robin dispatch (the pre-serve
-// QueryEngine stripe, which pins each connection's requests to one
-// worker) against work stealing. The workload mixes ~86% cheap
-// delta-index retrievals with ~14% expensive online queries — the
-// regime behind the BENCH_query online p99 cliff (p50 0.78 ms vs p99
-// 12.8 ms at 4 threads): under round-robin one in-flight online query
-// stalls every request striped behind it, while stealing drains the
-// blocked queue on idle workers.
+// daemon's work-stealing TaskScheduler. The workload mixes ~86% cheap
+// delta-index retrievals with ~14% expensive online queries — the regime
+// behind the BENCH_query online p99 cliff (p50 0.78 ms vs p99 12.8 ms at
+// 4 threads), where one in-flight online query would stall every request
+// pinned behind it on its worker if idle workers did not steal.
 //
 // Open loop: arrival times are precomputed (exponential inter-arrivals,
 // seeded), a producer pushes each request at its scheduled instant, and
 // latency is measured completion − *scheduled* arrival — so queueing
 // delay is charged to the server, not silently absorbed by a
 // coordinated-omission closed loop. The offered rate is 70% of the
-// measured closed-loop capacity at each thread count (identical for
-// both modes, so the A/B is apples to apples).
+// measured closed-loop capacity at each thread count.
 //
-// Emits BENCH_serve.json with one row per mode × thread count and the
-// headline ws/rr p99 ratio at 4 threads.
+// Emits BENCH_serve.json with the machine it ran on and one row per
+// thread count; each row keeps `"mode": "work_steal"` so the rows stay
+// keyed by (mode, threads) in the committed baseline.
 //
 // Environment:
 //   ABCS_BENCH_DATASET        registry dataset (default BS)
@@ -115,9 +112,7 @@ struct Workers {
 /// Closed-loop capacity: every request queued upfront, `threads` workers
 /// drain through the scheduler. Returns completed queries per second.
 double MeasureCapacity(Workers& workers, unsigned threads, std::size_t n) {
-  abcs::serve::TaskScheduler<uint32_t> sched(threads, n + 1,
-                                             abcs::serve::StealMode::
-                                                 kWorkStealing);
+  abcs::serve::TaskScheduler<uint32_t> sched(threads, n + 1);
   for (std::size_t i = 0; i < n; ++i) {
     sched.Push(static_cast<uint32_t>(i),
                static_cast<unsigned>(i % kStreams));
@@ -137,8 +132,7 @@ double MeasureCapacity(Workers& workers, unsigned threads, std::size_t n) {
   return secs > 0 ? static_cast<double>(n) / secs : 0;
 }
 
-RunResult RunOpenLoop(Workers& workers, unsigned threads,
-                      abcs::serve::StealMode mode, double offered_qps,
+RunResult RunOpenLoop(Workers& workers, unsigned threads, double offered_qps,
                       double seconds) {
   const std::size_t n = std::max<std::size_t>(
       200, static_cast<std::size_t>(offered_qps * seconds));
@@ -153,7 +147,7 @@ RunResult RunOpenLoop(Workers& workers, unsigned threads,
     arrival_s[i] = at;
   }
 
-  abcs::serve::TaskScheduler<uint32_t> sched(threads, n + 1, mode);
+  abcs::serve::TaskScheduler<uint32_t> sched(threads, n + 1);
   std::vector<double> latency_us(n, 0.0);
   const Clock::time_point start = Clock::now();
 
@@ -194,7 +188,6 @@ RunResult RunOpenLoop(Workers& workers, unsigned threads,
 }
 
 struct Row {
-  const char* mode;
   unsigned threads;
   RunResult run;
 };
@@ -248,30 +241,12 @@ int main(int argc, char** argv) {
     const double capacity = MeasureCapacity(workers, threads, 4000);
     const double offered = 0.7 * capacity;
 
-    for (const abcs::serve::StealMode mode :
-         {abcs::serve::StealMode::kRoundRobin,
-          abcs::serve::StealMode::kWorkStealing}) {
-      const char* name =
-          mode == abcs::serve::StealMode::kRoundRobin ? "round_robin"
-                                                      : "work_steal";
-      const RunResult run = RunOpenLoop(workers, threads, mode, offered,
-                                        seconds);
-      rows.push_back(Row{name, threads, run});
-      std::printf("%-12s %8u %12.1f %12.1f %10.1f %10.1f %10.1f\n", name,
-                  threads, run.offered_qps, run.achieved_qps, run.p50_us,
-                  run.p99_us, run.p999_us);
-    }
+    const RunResult run = RunOpenLoop(workers, threads, offered, seconds);
+    rows.push_back(Row{threads, run});
+    std::printf("%-12s %8u %12.1f %12.1f %10.1f %10.1f %10.1f\n", "work_steal",
+                threads, run.offered_qps, run.achieved_qps, run.p50_us,
+                run.p99_us, run.p999_us);
   }
-
-  double rr_p99_4t = 0, ws_p99_4t = 0;
-  for (const Row& row : rows) {
-    if (row.threads == 4) {
-      if (std::string(row.mode) == "round_robin") rr_p99_4t = row.run.p99_us;
-      if (std::string(row.mode) == "work_steal") ws_p99_4t = row.run.p99_us;
-    }
-  }
-  const double ratio = rr_p99_4t > 0 ? ws_p99_4t / rr_p99_4t : 0;
-  std::printf("work_steal/round_robin p99 at 4 threads: %.3f\n", ratio);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -279,22 +254,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"dataset\": \"%s\",\n  \"num_edges\": %u,\n"
-               "  \"delta\": %u,\n  \"alpha\": %u,\n  \"beta\": %u,\n"
-               "  \"seconds_per_config\": %.2f,\n  \"results\": [\n",
-               dataset.c_str(), ds.graph.NumEdges(), ds.delta(), alpha, beta,
-               seconds);
+               "{\n  \"machine\": %s,\n  \"dataset\": \"%s\",\n"
+               "  \"num_edges\": %u,\n  \"delta\": %u,\n  \"alpha\": %u,\n"
+               "  \"beta\": %u,\n  \"seconds_per_config\": %.2f,\n"
+               "  \"results\": [\n",
+               abcs::bench::MachineJson().c_str(), dataset.c_str(),
+               ds.graph.NumEdges(), ds.delta(), alpha, beta, seconds);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"threads\": %u, "
+                 "    {\"mode\": \"work_steal\", \"threads\": %u, "
                  "\"offered_qps\": %.1f, \"achieved_qps\": %.1f, "
                  "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f}%s\n",
-                 row.mode, row.threads, row.run.offered_qps,
-                 row.run.achieved_qps, row.run.p50_us, row.run.p99_us,
-                 row.run.p999_us, i + 1 < rows.size() ? "," : "");
+                 row.threads, row.run.offered_qps, row.run.achieved_qps,
+                 row.run.p50_us, row.run.p99_us, row.run.p999_us,
+                 i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"ws_over_rr_p99_at_4t\": %.4f\n}\n", ratio);
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
   return 0;

@@ -15,16 +15,11 @@ namespace abcs::serve {
 /// One deque per worker: `Push` appends to the hinted worker's deque
 /// (connection affinity keeps a client's pipelined requests in order of
 /// execution *start*, and its per-worker scratch warm); `Pop` takes the
-/// owner's front, and — in `kWorkStealing` mode — steals from the *back*
-/// of the longest other deque when the own one is empty. Stealing from
-/// the back takes the newest enqueued work, leaving the victim's oldest
-/// (front) requests to their owner so per-connection FIFO start order is
-/// preserved exactly when no steal happens and approximately under load.
-///
-/// `kRoundRobin` disables stealing — each worker only ever sees its own
-/// deque, reproducing the head-of-line blocking of the pre-serve
-/// QueryEngine stripe. It exists for the scheduler A/B in
-/// bench_serve_sustained, not for production use.
+/// owner's front, and steals from the *back* of the longest other deque
+/// when the own one is empty. Stealing from the back takes the newest
+/// enqueued work, leaving the victim's oldest (front) requests to their
+/// owner so per-connection FIFO start order is preserved exactly when no
+/// steal happens and approximately under load.
 ///
 /// Everything is guarded by one mutex: at community-query service rates
 /// (≤ a few hundred k ops/s) a single uncontended lock is nanoseconds,
@@ -32,14 +27,11 @@ namespace abcs::serve {
 /// Total pending work is bounded by `max_pending`; `Push` fails instead
 /// of blocking when full, which the server surfaces as a clean
 /// kOverloaded response (admission control, not buffer bloat).
-enum class StealMode { kWorkStealing, kRoundRobin };
-
 template <typename T>
 class TaskScheduler {
  public:
-  TaskScheduler(unsigned workers, std::size_t max_pending,
-                StealMode mode = StealMode::kWorkStealing)
-      : queues_(workers), max_pending_(max_pending), mode_(mode) {}
+  TaskScheduler(unsigned workers, std::size_t max_pending)
+      : queues_(workers), max_pending_(max_pending) {}
 
   /// Enqueues onto worker `hint % workers`. Returns false when
   /// `max_pending` tasks are already queued (overload) or the scheduler
@@ -92,7 +84,6 @@ class TaskScheduler {
       --pending_;
       return true;
     }
-    if (mode_ != StealMode::kWorkStealing) return false;
     std::deque<T>* victim = nullptr;
     for (std::deque<T>& q : queues_) {
       if (!q.empty() && (victim == nullptr || q.size() > victim->size())) {
@@ -111,7 +102,6 @@ class TaskScheduler {
   std::vector<std::deque<T>> queues_;
   std::size_t pending_ = 0;
   const std::size_t max_pending_;
-  const StealMode mode_;
   bool closed_ = false;
 };
 

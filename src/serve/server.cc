@@ -83,8 +83,7 @@ Server::Server(const BipartiteGraph& g, const DeltaIndex* delta,
                             : std::max(1u,
                                        std::thread::hardware_concurrency())),
       memo_(options.memo_max_entries),
-      scheduler_(resolved_threads_, options.max_queue,
-                 StealMode::kWorkStealing) {
+      scheduler_(resolved_threads_, options.max_queue) {
   SnapshotManagerOptions smo;
   smo.update_queue = options.update_queue;
   smo.compact_path = options.compact_path;

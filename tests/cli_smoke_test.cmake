@@ -252,9 +252,12 @@ endforeach()
 message(STATUS "ok: scs batches deterministic and kernel-agreeing")
 
 # Strict numbers: every malformed, negative, out-of-range or trailing-junk
-# value is rejected with usage (exit 2) before any connection is made.
+# value, unknown flag or flag combination is rejected with usage (exit 2)
+# before any connection is made or any file is loaded. Each item below is
+# one whole invocation: foreach keeps a quoted item's `;` separators, where
+# `set` + `IN LISTS` would flatten them into one-word invocations.
 file(WRITE ${WORK_DIR}/client_batch.txt "1 2 2\n")
-set(rejected_invocations
+foreach(invocation
   "client;--port;80x;--ping"
   "client;--port;70000;--ping"
   "client;--port;0;--ping"
@@ -278,8 +281,15 @@ set(rejected_invocations
   "client;--port;1;--reweight;1x;2;3.5"
   "query;${GRAPH};--batch;${BATCH};--threads;2x"
   "query;${GRAPH};--batch;${BATCH};--threads;-1"
-  "query;${GRAPH};1;2;2;--side;x")
-foreach(invocation IN LISTS rejected_invocations)
+  "query;${GRAPH};1;2;2;--side;x"
+  "query;${GRAPH};--batch;${BATCH};--method;bogus"
+  "scs;${GRAPH};1;2;2;--algo;bogus"
+  "serve;${GRAPH};--threads;2x"
+  "serve;${GRAPH};--port;70000"
+  "serve;${GRAPH};--max-queue;0"
+  "serve;${GRAPH};--bogus"
+  "serve;${GRAPH};--compact-path;${WORK_DIR}/compact.idx"
+  "serve;${GRAPH};--scrub-interval-ms;5")
   execute_process(COMMAND ${ABCS_CLI} ${invocation}
     OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 2 OR NOT err MATCHES "usage:")
@@ -298,6 +308,33 @@ if(NOT rc EQUAL 1 OR err MATCHES "usage:")
     "(rc=${rc}):\n${out}${err}")
 endif()
 message(STATUS "ok: malformed numeric flags rejected with usage")
+
+# A bad batch or update-file line fails with its file:line (exit 1) before
+# any connection is made: a q past u32 must not wrap into another vertex,
+# and an update weight must be a finite number, as on the command line.
+file(WRITE ${WORK_DIR}/wrap.txt "1 2 2\n4294967297 2 2\n")
+file(WRITE ${WORK_DIR}/updates_nan.txt "i 1 2 3.5\nw 1 2 nan\n")
+foreach(case "--batch;wrap.txt" "--update-file;updates_nan.txt")
+  list(GET case 0 flag)
+  list(GET case 1 name)
+  execute_process(
+    COMMAND ${ABCS_CLI} client --port 1 ${flag} ${WORK_DIR}/${name}
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${name}:2")
+    message(FATAL_ERROR "client ${flag} ${name} was not rejected at line 2 "
+      "(rc=${rc}):\n${out}${err}")
+  endif()
+endforeach()
+message(STATUS "ok: bad batch and update-file lines rejected with file:line")
+# A lower-layer q past its layer is out of range; it must not wrap through
+# the unified id space into an upper-layer vertex.
+execute_process(COMMAND ${ABCS_CLI} query ${GRAPH} 4294967295 2 2 --side l
+  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "query vertex out of range")
+  message(FATAL_ERROR "lower-layer q 4294967295 was not out of range "
+    "(rc=${rc}):\n${out}${err}")
+endif()
+message(STATUS "ok: out-of-layer q rejected")
 
 # Determinism: a second gen of the same spec must be byte-identical.
 run_abcs("" gen BS ${WORK_DIR}/bs2.txt)

@@ -706,7 +706,7 @@ TEST(WorkStealingRangesTest, IdleWorkerChunkGetsStolen) {
 // ----------------------------------------------------------- scheduler --
 
 TEST(TaskSchedulerTest, DrainsEverythingAfterClose) {
-  TaskScheduler<int> sched(3, 1000, StealMode::kWorkStealing);
+  TaskScheduler<int> sched(3, 1000);
   std::atomic<int> sum{0};
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < 3; ++t) {
@@ -727,7 +727,7 @@ TEST(TaskSchedulerTest, DrainsEverythingAfterClose) {
 }
 
 TEST(TaskSchedulerTest, BoundedQueueRejectsWhenFull) {
-  TaskScheduler<int> sched(2, 3, StealMode::kWorkStealing);
+  TaskScheduler<int> sched(2, 3);
   EXPECT_TRUE(sched.Push(1, 0));
   EXPECT_TRUE(sched.Push(2, 0));
   EXPECT_TRUE(sched.Push(3, 1));
@@ -735,24 +735,14 @@ TEST(TaskSchedulerTest, BoundedQueueRejectsWhenFull) {
   EXPECT_EQ(sched.Pending(), 3u);
 }
 
-// In round-robin mode a worker never sees another worker's queue; in
-// work-stealing mode it drains them.
-TEST(TaskSchedulerTest, StealModeControlsCrossQueueVisibility) {
-  {
-    TaskScheduler<int> rr(2, 100, StealMode::kRoundRobin);
-    rr.Push(7, 0);  // worker 0's queue
-    rr.Close();
-    int task;
-    EXPECT_FALSE(rr.Pop(1, &task));  // worker 1 drains nothing
-  }
-  {
-    TaskScheduler<int> ws(2, 100, StealMode::kWorkStealing);
-    ws.Push(7, 0);
-    ws.Close();
-    int task;
-    EXPECT_TRUE(ws.Pop(1, &task));  // stolen
-    EXPECT_EQ(task, 7);
-  }
+// An idle worker steals from another worker's queue.
+TEST(TaskSchedulerTest, IdleWorkerStealsFromOtherQueue) {
+  TaskScheduler<int> sched(2, 100);
+  sched.Push(7, 0);  // worker 0's queue
+  sched.Close();
+  int task;
+  EXPECT_TRUE(sched.Pop(1, &task));  // stolen by worker 1
+  EXPECT_EQ(task, 7);
 }
 
 }  // namespace

@@ -1,85 +1,21 @@
-// abcs command-line tool: build/persist the index bundle and run community
-// queries on weighted bipartite edge lists.
+// abcs command-line tool: build/persist the index bundle, run community
+// queries on weighted bipartite edge lists, and serve or query them over TCP.
+// `abcs` with no arguments prints the usage text (Usage() below), the one
+// list of commands and flags.
 //
-// Usage:
-//   abcs stats  <graph>                       print dataset statistics
-//   abcs index  <graph> [--out] <bundle-out>  build and persist the ABCSPAK1
-//                                             bundle: graph + offset
-//                                             decomposition + I_δ + I_v
-//                                             (alias: build; per-phase
-//                                             timing on stderr)
-//   abcs query  <graph> <q> <alpha> <beta> [--index FILE] [--side u|l]
-//                                             print C_{α,β}(q)
-//   abcs query  --bundle FILE <q> <alpha> <beta> [--side u|l]
-//                                             ditto, served straight from an
-//                                             mmap'd bundle — no graph file,
-//                                             no rebuild
-//   abcs query  <graph> --batch <file> [--threads N] [--index FILE]
-//               [--method online|bicore|delta|scs-auto|scs-peel|scs-expand|
-//                scs-binary] [--side u|l]
-//   abcs query  --bundle FILE --batch <file> [--threads N] [--method ...]
-//                                             run a query batch through the
-//                                             zero-allocation query engine;
-//                                             the scs-* methods run the full
-//                                             two-step paradigm (retrieve C,
-//                                             then extract R with the named
-//                                             kernel; scs-auto = planner)
-//   abcs scs    <graph> <q> <alpha> <beta> [--index FILE] [--side u|l]
-//               [--algo auto|peel|expand|binary|baseline]
-//                                             print the significant community
-//                                             (phase timing on stderr)
-//   abcs profile <graph> <q> <max-alpha> <max-beta> [--index FILE]
-//               [--side u|l]                  print f(R) over the (α,β) grid
-//   abcs gen    <name> <graph-out>            write a registry dataset
-//   abcs serve  <graph>|--bundle FILE [--host H] [--port N] [--threads N]
-//               [--port-file F] [--max-connections N] [--max-queue N]
-//               [--deadline-ms N] [--no-memo] [--enable-updates]
-//               [--update-queue N] [--compact-path F] [--compact-every N]
-//                                             resident query daemon over TCP
-//                                             (SIGTERM/SIGINT drain cleanly);
-//                                             --enable-updates accepts live
-//                                             edge updates and serves each
-//                                             query from a pinned snapshot
-//                                             epoch; --compact-path persists
-//                                             the served state as a bundle
-//                                             (crash-safe temp+rename, prior
-//                                             bundle kept as .prev)
-//   abcs client [--host H] --port N --ping
-//   abcs client [--host H] --port N <q> <alpha> <beta> [--method M]
-//               [--side u|l] [--deadline-ms N]
-//   abcs client [--host H] --port N --batch <file> [--method M] [--side u|l]
-//               [--deadline-ms N]             pipelined batch; output matches
-//                                             `abcs query --batch` minus the
-//                                             touched-arcs work counters
-//   abcs client [--host H] --port N --batch <file> --connections N
-//               --duration S [...]            soak: N concurrent connections
-//                                             loop the batch for S seconds
-//   abcs client [--host H] --port N (--insert u v w | --remove u v |
-//               --reweight u v w)... [--commit]
-//                                             live updates, applied in order;
-//                                             --commit publishes them as one
-//                                             new epoch
-//   abcs client [--host H] --port N --update-file F
-//                                             batch updates: lines `i u v w`,
-//                                             `r u v`, `w u v w`, `c`
+// Input formats:
+//   <graph>      whitespace edge list `u v [w]`, 0-based layer-local ids;
+//                lines starting with % or # are ignored.
+//   batch file   one query per line, `q alpha beta [u|l]`: layer-local q,
+//                the trailing letter overrides the batch-wide --side.
+//   update file  one op per line: `i u v w`, `r u v`, `w u v w` or `c`.
 //
-// <graph> is a whitespace edge list `u v [w]` with 0-based layer-local ids
-// (lines starting with % or # ignored). <q> is a layer-local id; --side
-// selects the layer (default: u).
-//
-// --index FILE names a bundle written by `abcs index`: it is opened
-// zero-copy and cross-checked against the supplied graph (topology checksum
-// AND weight digest, so stale significances are rejected); any other file
-// fails with a Corruption error. scs and profile accept --bundle too.
-//
-// Every number on the command line is a whole base-10 token checked
-// against its range (ids and α/β fit u32, ports fit u16, ...); weights
-// and durations are whole finite decimals. Anything else prints usage.
-//
-// A batch file has one query per line: `q alpha beta [u|l]` (layer-local
-// q; the trailing letter overrides the batch-wide --side; % and # comment
-// lines ignored). Per-query results and aggregate counts go to stdout and
-// are deterministic for any --threads value; timing goes to stderr.
+// Batch and update files skip blank, % and # lines and name `file:line` in
+// every error. Every number on the command line and in batch and update
+// files is a whole base-10 token checked against its range (ids and α/β
+// fit u32, ports fit u16, ...); weights and durations are whole finite
+// decimals. A bad flag or value prints usage (exit 2); a bad file line
+// fails with exit 1.
 
 #include <atomic>
 #include <chrono>
@@ -90,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -132,6 +69,10 @@ int Usage() {
                "scs-peel|scs-expand|scs-binary] [--index FILE] [--side u|l]\n"
                "  abcs scs   <graph> <q> <alpha> <beta> [--index FILE] "
                "[--side u|l] [--algo auto|peel|expand|binary|baseline]\n"
+               "  abcs profile <graph> <q> <max-alpha> <max-beta> "
+               "[--index FILE] [--side u|l]\n"
+               "      (scs and profile take --bundle FILE in place of "
+               "<graph> too)\n"
                "  abcs gen   <name> <graph-out>\n"
                "  abcs serve <graph>|--bundle FILE [--host H] [--port N] "
                "[--threads N] [--port-file F] [--max-connections N] "
@@ -169,11 +110,6 @@ bool ParseUint(const char* text, long max, long* out) {
   return true;
 }
 
-/// Consumes the value of the flag at argv[*i] through ParseUint.
-bool ParseFlagUint(int argc, char** argv, int* i, long max, long* out) {
-  return *i + 1 < argc && ParseUint(argv[++*i], max, out);
-}
-
 /// `text` must be a whole finite decimal (weights, durations).
 bool ParseReal(const char* text, double* out) {
   char* end = nullptr;
@@ -181,11 +117,6 @@ bool ParseReal(const char* text, double* out) {
   if (end == text || *end != '\0' || !std::isfinite(x)) return false;
   *out = x;
   return true;
-}
-
-/// Consumes the value of the flag at argv[*i] through ParseReal.
-bool ParseFlagReal(int argc, char** argv, int* i, double* out) {
-  return *i + 1 < argc && ParseReal(argv[++*i], out);
 }
 
 /// `--side` takes exactly `u` (upper layer) or `l` (lower layer).
@@ -200,77 +131,179 @@ bool ParseSide(const char* text, bool* lower) {
 constexpr long kMaxU32 = 0xffffffffL;
 constexpr long kMaxMs = 1L << 30;  ///< every millisecond knob
 
+/// A run of words: the argv values after a flag, or a file line's fields.
+using Values = const char* const*;
+
+/// `q alpha beta` (layer-local q): each fits u32 and α, β ≥ 1. Shared by
+/// the query positionals and every batch-file line.
+bool ParseQab(Values words, uint32_t* q, uint32_t* alpha, uint32_t* beta) {
+  long n[3] = {0, 0, 0};
+  for (int k = 0; k < 3; ++k) {
+    if (!ParseUint(words[k], kMaxU32, &n[k])) return false;
+  }
+  *q = static_cast<uint32_t>(n[0]);
+  *alpha = static_cast<uint32_t>(n[1]);
+  *beta = static_cast<uint32_t>(n[2]);
+  return *alpha >= 1 && *beta >= 1;
+}
+
+/// The extraction kernels `--algo` and the `scs-*` methods name.
+constexpr abcs::ScsAlgo kScsAlgos[] = {
+    abcs::ScsAlgo::kAuto, abcs::ScsAlgo::kPeel, abcs::ScsAlgo::kExpand,
+    abcs::ScsAlgo::kBinary};
+
+bool ParseScsAlgo(const char* name, abcs::ScsAlgo* out) {
+  for (const abcs::ScsAlgo algo : kScsAlgos) {
+    if (std::strcmp(name, abcs::ScsAlgoName(algo)) == 0) {
+      *out = algo;
+      return true;
+    }
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
+// Flag tables
+// ---------------------------------------------------------------------------
+
+/// One row of a command's flag table: `name` consumes the `arity` argv
+/// words after it and hands them to `set`, which returns false for a bad
+/// value.
+struct Flag {
+  const char* name;
+  int arity;
+  std::function<bool(Values)> set;
+};
+
+/// The one argv walker. Flags may come in any order and are looked up in
+/// `flags`; every word that does not start with `--` is collected in `pos`.
+/// Fails on an unknown flag, a missing value or a value `set` refuses.
+bool ParseFlags(int argc, char** argv, const std::vector<Flag>& flags,
+                std::vector<const char*>* pos) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) {
+      pos->push_back(argv[i]);
+      continue;
+    }
+    const Flag* flag = nullptr;
+    for (const Flag& f : flags) {
+      if (std::strcmp(argv[i], f.name) == 0) flag = &f;
+    }
+    if (flag == nullptr || i + flag->arity >= argc ||
+        !flag->set(argv + i + 1)) {
+      return false;
+    }
+    i += flag->arity;
+  }
+  return true;
+}
+
+Flag StringFlag(const char* name, std::string* out) {
+  auto set = [out](Values v) {
+    *out = v[0];
+    return true;
+  };
+  return {name, 1, set};
+}
+
+/// A value-less flag that stores `value`.
+template <typename T>
+Flag SetFlag(const char* name, T* out, T value) {
+  auto set = [out, value](Values) {
+    *out = value;
+    return true;
+  };
+  return {name, 0, set};
+}
+
+/// A whole number in [min, max], stored shifted left by `shift` (10 turns
+/// the KiB flags into bytes).
+template <typename T>
+Flag UintFlag(const char* name, long min, long max, T* out, int shift = 0) {
+  auto set = [=](Values v) {
+    long n = 0;
+    if (!ParseUint(v[0], max, &n) || n < min) return false;
+    *out = static_cast<T>(n << shift);
+    return true;
+  };
+  return {name, 1, set};
+}
+
+Flag SideFlag(bool* lower) {
+  auto set = [lower](Values v) { return ParseSide(v[0], lower); };
+  return {"--side", 1, set};
+}
+
+// ---------------------------------------------------------------------------
+// abcs query / scs / profile
+// ---------------------------------------------------------------------------
+
 struct QueryArgs {
   std::string graph_path;
   std::string bundle_path;  ///< --bundle: self-contained, no graph file
-  abcs::VertexId q = 0;
-  uint32_t alpha = 0, beta = 0;
+  uint32_t q = 0, alpha = 0, beta = 0;
   std::string index_path;
   bool lower_side = false;
-  std::string algo = "auto";
+  abcs::ScsAlgo algo = abcs::ScsAlgo::kAuto;
+  bool baseline = false;  ///< `scs --algo baseline`
   std::string batch_path;
-  std::string method = "delta";
+  abcs::serve::WireMethod method = abcs::serve::WireMethod::kDelta;
   unsigned num_threads = 1;
-  bool batch_only_flags = false;  ///< --threads/--method were given
-  bool algo_set = false;          ///< --algo was given
 };
 
-bool ParseQueryArgs(int argc, char** argv, QueryArgs* args) {
-  // Flags are order-free; positionals are collected in order. With
-  // --bundle the graph positional disappears (the bundle embeds it), and
-  // with --batch the q/alpha/beta positionals disappear.
-  std::vector<const char*> pos;
-  long n = 0;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--index") == 0 && i + 1 < argc) {
-      args->index_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--bundle") == 0 && i + 1 < argc) {
-      args->bundle_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--side") == 0) {
-      if (i + 1 >= argc || !ParseSide(argv[++i], &args->lower_side)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--algo") == 0 && i + 1 < argc) {
-      args->algo = argv[++i];
-      args->algo_set = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      args->batch_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      // 0 = hardware concurrency
-      if (!ParseFlagUint(argc, argv, &i, 1024, &n)) return false;
-      args->num_threads = static_cast<unsigned>(n);
-      args->batch_only_flags = true;
-    } else if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
-      args->method = argv[++i];
-      args->batch_only_flags = true;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      return false;
-    } else {
-      pos.push_back(argv[i]);
-    }
+/// `cmd` is query, scs or profile; each accepts only its own flags.
+bool ParseQueryArgs(const std::string& cmd, int argc, char** argv,
+                    QueryArgs* args) {
+  std::vector<Flag> flags = {StringFlag("--index", &args->index_path),
+                             StringFlag("--bundle", &args->bundle_path),
+                             SideFlag(&args->lower_side)};
+  bool batch_flags = false;  ///< --threads or --method was given
+  auto threads = [&](Values v) {
+    batch_flags = true;
+    long n = 0;  // 0 = hardware concurrency
+    if (!ParseUint(v[0], 1024, &n)) return false;
+    args->num_threads = static_cast<unsigned>(n);
+    return true;
+  };
+  auto method = [&](Values v) {
+    batch_flags = true;
+    return abcs::serve::ParseWireMethod(v[0], &args->method);
+  };
+  auto algo = [args](Values v) {
+    args->baseline = std::strcmp(v[0], "baseline") == 0;
+    return args->baseline || ParseScsAlgo(v[0], &args->algo);
+  };
+  if (cmd == "query") {
+    flags.push_back(StringFlag("--batch", &args->batch_path));
+    flags.push_back({"--threads", 1, threads});
+    flags.push_back({"--method", 1, method});
+  } else if (cmd == "scs") {
+    flags.push_back({"--algo", 1, algo});
   }
+  // With --bundle the graph positional disappears (the bundle embeds it),
+  // and with --batch the q/alpha/beta positionals disappear.
+  std::vector<const char*> pos;
+  if (!ParseFlags(argc, argv, flags, &pos)) return false;
   // A bundle embeds both graph and index; combining it with either source
   // would leave two contradictory truths about what is being queried.
   if (!args->bundle_path.empty() && !args->index_path.empty()) return false;
-  std::size_t expect = args->bundle_path.empty() ? 1 : 0;
-  if (args->batch_path.empty()) expect += 3;
-  if (pos.size() != expect) return false;
-  std::size_t k = 0;
-  if (args->bundle_path.empty()) args->graph_path = pos[k++];
-  if (!args->batch_path.empty()) return true;
-  long q = 0, alpha = 0, beta = 0;
-  if (!ParseUint(pos[k], kMaxU32, &q) ||
-      !ParseUint(pos[k + 1], kMaxU32, &alpha) ||
-      !ParseUint(pos[k + 2], kMaxU32, &beta)) {
-    return false;
-  }
-  args->q = static_cast<abcs::VertexId>(q);
-  args->alpha = static_cast<uint32_t>(alpha);
-  args->beta = static_cast<uint32_t>(beta);
+  const bool batch = !args->batch_path.empty();
   // --threads/--method only mean something in batch mode; rejecting them
-  // here keeps "asked for a method" distinguishable from "served by it".
-  if (args->batch_only_flags) return false;
-  return args->alpha >= 1 && args->beta >= 1;
+  // elsewhere keeps "asked for a method" distinguishable from "served by
+  // it".
+  if (batch_flags && !batch) return false;
+  const std::size_t k = args->bundle_path.empty() ? 1 : 0;
+  if (pos.size() != k + (batch ? 0 : 3)) return false;
+  if (k == 1) args->graph_path = pos[0];
+  return batch || ParseQab(pos.data() + k, &args->q, &args->alpha, &args->beta);
+}
+
+/// Unified id of layer-local `q`, or kInvalidVertex when q lies outside
+/// its layer.
+abcs::VertexId UnifiedId(const abcs::BipartiteGraph& g, uint32_t q,
+                         bool lower) {
+  if (q >= (lower ? g.NumLower() : g.NumUpper())) return abcs::kInvalidVertex;
+  return lower ? g.NumUpper() + q : q;
 }
 
 /// What a query-like command operates on: the graph (edge-list file or the
@@ -304,6 +337,16 @@ abcs::Status LoadSession(const QueryArgs& args, Session* s) {
     // topology checksum and weight digest — so a stale file fails loudly.
     ABCS_RETURN_NOT_OK(abcs::OpenIndexBundle(args.index_path, &s->bundle));
     ABCS_RETURN_NOT_OK(abcs::VerifyBundleMatchesGraph(*s->bundle, *s->graph));
+  }
+  return abcs::Status::OK();
+}
+
+/// LoadSession for the single-query commands, plus q's unified id.
+abcs::Status LoadQuery(const QueryArgs& args, Session* s, abcs::VertexId* q) {
+  ABCS_RETURN_NOT_OK(LoadSession(args, s));
+  *q = UnifiedId(*s->graph, args.q, args.lower_side);
+  if (*q == abcs::kInvalidVertex) {
+    return abcs::Status::InvalidArgument("query vertex out of range");
   }
   return abcs::Status::OK();
 }
@@ -421,49 +464,64 @@ int CmdInspect(const std::string& bundle_path) {
   return 0;
 }
 
-// Parses `q alpha beta [u|l]` lines (layer-local q) into unified-id
-// requests; default_lower applies when a line has no side letter.
-abcs::Status ParseBatchFile(const std::string& path,
-                            const abcs::BipartiteGraph& g, bool default_lower,
-                            std::vector<abcs::QueryRequest>* out) {
+/// Parses the words of one file line; returns nullptr for a good line,
+/// else why it is bad.
+using LineParser = std::function<const char*(const std::vector<const char*>&)>;
+
+/// Reads `path` line by line and hands each line's whitespace-separated
+/// words to `parse`, skipping blank lines and `#`/`%` comment lines. The
+/// first line `parse` refuses fails the file with `path:line`, the reason
+/// `parse` returned and the line itself.
+abcs::Status ForEachLine(const std::string& path, const LineParser& parse) {
   std::ifstream in(path);
-  if (!in) return abcs::Status::NotFound("cannot open batch file " + path);
+  if (!in) return abcs::Status::NotFound("cannot open " + path);
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#' ||
-        line[first] == '%') {
-      continue;
+    std::string buffer = line;
+    std::vector<const char*> words;
+    char* save = nullptr;
+    for (char* w = strtok_r(buffer.data(), " \t\r\v\f", &save); w != nullptr;
+         w = strtok_r(nullptr, " \t\r\v\f", &save)) {
+      words.push_back(w);
     }
-    unsigned long id = 0, alpha = 0, beta = 0;
-    char side = default_lower ? 'l' : 'u';
-    char junk[2];
-    const int got = std::sscanf(line.c_str(), "%lu %lu %lu %c %1s", &id,
-                                &alpha, &beta, &side, junk);
-    if (got < 3 || got > 4 || alpha == 0 || beta == 0 ||
-        alpha > 0xffffffffUL || beta > 0xffffffffUL ||
-        (side != 'u' && side != 'l')) {
-      return abcs::Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) + ": expected `q alpha beta " +
-          "[u|l]`, got `" + line + "`");
+    if (words.empty() || words[0][0] == '#' || words[0][0] == '%') continue;
+    if (const char* why = parse(words)) {
+      const std::string at = path + ":" + std::to_string(lineno) + ": ";
+      return abcs::Status::InvalidArgument(at + why + ", got `" + line + "`");
     }
-    // Range-check before narrowing so a 64-bit id cannot wrap into a
-    // valid vertex.
-    const unsigned long layer_size =
-        side == 'l' ? g.NumLower() : g.NumUpper();
-    if (id >= layer_size) {
-      return abcs::Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) + ": vertex out of range");
-    }
-    const abcs::VertexId q = side == 'l'
-                                 ? g.NumUpper() + static_cast<uint32_t>(id)
-                                 : static_cast<uint32_t>(id);
-    out->push_back(abcs::QueryRequest{q, static_cast<uint32_t>(alpha),
-                                      static_cast<uint32_t>(beta)});
   }
   return abcs::Status::OK();
+}
+
+/// One batch-file query, layer-local.
+struct BatchQuery {
+  uint32_t q = 0, alpha = 0, beta = 0;
+  bool lower = false;
+};
+
+/// The one batch-file parser, for `abcs query --batch` and `abcs client
+/// --batch`: `q alpha beta [u|l]` lines; `default_lower` applies when a
+/// line has no side letter. With `g`, q must also lie inside its layer;
+/// without (the client), the daemon range-checks it.
+abcs::Status ParseBatchFile(const std::string& path, bool default_lower,
+                            const abcs::BipartiteGraph* g,
+                            std::vector<BatchQuery>* out) {
+  return ForEachLine(path, [&](const std::vector<const char*>& words) {
+    BatchQuery b;
+    b.lower = default_lower;
+    if ((words.size() != 3 && words.size() != 4) ||
+        !ParseQab(words.data(), &b.q, &b.alpha, &b.beta) ||
+        (words.size() == 4 && !ParseSide(words[3], &b.lower))) {
+      return "expected `q alpha beta [u|l]`";
+    }
+    if (g != nullptr && UnifiedId(*g, b.q, b.lower) == abcs::kInvalidVertex) {
+      return "vertex out of range";
+    }
+    out->push_back(b);
+    return static_cast<const char*>(nullptr);
+  });
 }
 
 // Batch of full two-step SCS queries: retrieval through the delta index,
@@ -529,37 +587,25 @@ int CmdQueryBatch(const QueryArgs& args) {
   abcs::Status st = LoadSession(args, &session);
   if (!st.ok()) return Fail(st);
   const abcs::BipartiteGraph& g = *session.graph;
-  std::vector<abcs::QueryRequest> requests;
-  st = ParseBatchFile(args.batch_path, g, args.lower_side, &requests);
+  std::vector<BatchQuery> lines;
+  st = ParseBatchFile(args.batch_path, args.lower_side, &g, &lines);
   if (!st.ok()) return Fail(st);
+  std::vector<abcs::QueryRequest> requests;
+  for (const BatchQuery& b : lines) {
+    requests.push_back({UnifiedId(g, b.q, b.lower), b.alpha, b.beta});
+  }
 
-  if (args.method.rfind("scs-", 0) == 0) {
-    abcs::ScsAlgo algo;
-    const std::string kernel = args.method.substr(4);
-    if (kernel == "auto") {
-      algo = abcs::ScsAlgo::kAuto;
-    } else if (kernel == "peel") {
-      algo = abcs::ScsAlgo::kPeel;
-    } else if (kernel == "expand") {
-      algo = abcs::ScsAlgo::kExpand;
-    } else if (kernel == "binary") {
-      algo = abcs::ScsAlgo::kBinary;
-    } else {
-      return Fail(abcs::Status::InvalidArgument("unknown --method"));
-    }
+  using abcs::serve::WireMethod;
+  if (abcs::serve::IsScsMethod(args.method)) {
+    abcs::ScsAlgo algo = abcs::ScsAlgo::kAuto;
+    // "scs-peel" runs kernel "peel": the method name minus its prefix.
+    ParseScsAlgo(abcs::serve::WireMethodName(args.method) + 4, &algo);
     return RunScsBatchQueries(args, session, requests, algo);
   }
-
-  abcs::QueryMethod method;
-  if (args.method == "online") {
-    method = abcs::QueryMethod::kOnline;
-  } else if (args.method == "bicore") {
-    method = abcs::QueryMethod::kBicore;
-  } else if (args.method == "delta") {
-    method = abcs::QueryMethod::kDelta;
-  } else {
-    return Fail(abcs::Status::InvalidArgument("unknown --method"));
-  }
+  const abcs::QueryMethod method =
+      args.method == WireMethod::kOnline   ? abcs::QueryMethod::kOnline
+      : args.method == WireMethod::kBicore ? abcs::QueryMethod::kBicore
+                                           : abcs::QueryMethod::kDelta;
 
   abcs::DeltaIndex owned_delta;
   abcs::BicoreIndex owned_bicore;
@@ -614,13 +660,10 @@ int CmdQueryBatch(const QueryArgs& args) {
 int CmdQuery(const QueryArgs& args) {
   if (!args.batch_path.empty()) return CmdQueryBatch(args);
   Session session;
-  abcs::Status st = LoadSession(args, &session);
+  abcs::VertexId q = 0;
+  const abcs::Status st = LoadQuery(args, &session, &q);
   if (!st.ok()) return Fail(st);
   const abcs::BipartiteGraph& g = *session.graph;
-  const abcs::VertexId q = args.lower_side ? g.NumUpper() + args.q : args.q;
-  if (q >= g.NumVertices()) {
-    return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
-  }
   abcs::DeltaIndex owned;
   const abcs::DeltaIndex* index = GetIndex(session, &owned);
   abcs::Timer timer;
@@ -634,13 +677,10 @@ int CmdQuery(const QueryArgs& args) {
 
 int CmdScs(const QueryArgs& args) {
   Session session;
-  abcs::Status st = LoadSession(args, &session);
+  abcs::VertexId q = 0;
+  const abcs::Status st = LoadQuery(args, &session, &q);
   if (!st.ok()) return Fail(st);
   const abcs::BipartiteGraph& g = *session.graph;
-  const abcs::VertexId q = args.lower_side ? g.NumUpper() + args.q : args.q;
-  if (q >= g.NumVertices()) {
-    return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
-  }
   abcs::DeltaIndex owned;
   const abcs::DeltaIndex* index = GetIndex(session, &owned);
 
@@ -648,36 +688,23 @@ int CmdScs(const QueryArgs& args) {
   abcs::ScsResult result;
   abcs::ScsStats scs_stats;
   double retrieve_s = 0.0;
-  if (args.algo == "baseline") {
+  if (args.baseline) {
     result = abcs::ScsBaseline(g, q, args.alpha, args.beta, {}, &scs_stats);
   } else {
-    abcs::ScsAlgo algo;
-    if (args.algo == "auto") {
-      algo = abcs::ScsAlgo::kAuto;
-    } else if (args.algo == "peel") {
-      algo = abcs::ScsAlgo::kPeel;
-    } else if (args.algo == "expand") {
-      algo = abcs::ScsAlgo::kExpand;
-    } else if (args.algo == "binary") {
-      algo = abcs::ScsAlgo::kBinary;
-    } else {
-      return Fail(abcs::Status::InvalidArgument("unknown --algo"));
-    }
     const abcs::Subgraph c = index->QueryCommunity(q, args.alpha, args.beta);
     retrieve_s = timer.Seconds();
-    result = abcs::ScsQuery(g, c, q, args.alpha, args.beta, algo, {},
+    result = abcs::ScsQuery(g, c, q, args.alpha, args.beta, args.algo, {},
                             &scs_stats);
   }
   const double total_s = timer.Seconds();
+  const char* kernel =
+      args.baseline ? "baseline" : abcs::ScsAlgoName(scs_stats.algo_used);
   // Phase breakdown on stderr so a slow query is attributable to retrieval
   // vs extraction straight from logs; stdout stays deterministic.
   std::fprintf(stderr,
                "# scs phases: retrieve=%.3es scs=%.3es kernel=%s "
                "validations=%u incremental_probes=%u edges_processed=%llu\n",
-               retrieve_s, total_s - retrieve_s,
-               args.algo == "baseline" ? "baseline"
-                                       : abcs::ScsAlgoName(scs_stats.algo_used),
-               scs_stats.validations,
+               retrieve_s, total_s - retrieve_s, kernel, scs_stats.validations,
                scs_stats.incremental_probes,
                static_cast<unsigned long long>(scs_stats.edges_processed));
   if (!result.found) {
@@ -686,7 +713,8 @@ int CmdScs(const QueryArgs& args) {
     return 0;
   }
   std::printf("# significant (%u,%u)-community, f(R)=%g, %s, %.2e s\n",
-              args.alpha, args.beta, result.significance, args.algo.c_str(),
+              args.alpha, args.beta, result.significance,
+              args.baseline ? "baseline" : abcs::ScsAlgoName(args.algo),
               total_s);
   PrintSubgraph(g, result.community);
   return 0;
@@ -694,13 +722,10 @@ int CmdScs(const QueryArgs& args) {
 
 int CmdProfile(const QueryArgs& args) {
   Session session;
-  abcs::Status st = LoadSession(args, &session);
+  abcs::VertexId q = 0;
+  const abcs::Status st = LoadQuery(args, &session, &q);
   if (!st.ok()) return Fail(st);
   const abcs::BipartiteGraph& g = *session.graph;
-  const abcs::VertexId q = args.lower_side ? g.NumUpper() + args.q : args.q;
-  if (q >= g.NumVertices()) {
-    return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
-  }
   abcs::DeltaIndex owned;
   const abcs::DeltaIndex* index = GetIndex(session, &owned);
   // For `profile`, alpha/beta play the role of grid bounds.
@@ -761,80 +786,42 @@ struct ServeArgs {
 };
 
 bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
+  abcs::serve::ServerOptions& o = args->options;
+  const std::vector<Flag> flags = {
+      StringFlag("--bundle", &args->bundle_path),
+      StringFlag("--host", &o.host),
+      StringFlag("--port-file", &args->port_file),
+      UintFlag("--port", 0, 65535, &o.port),
+      UintFlag("--threads", 0, 1024, &o.num_threads),
+      UintFlag("--max-connections", 1, 1 << 20, &o.max_connections),
+      UintFlag("--max-queue", 1, 1 << 24, &o.max_queue),
+      UintFlag("--deadline-ms", 0, kMaxMs, &o.default_deadline_ms),
+      SetFlag("--no-memo", &o.enable_memo, false),
+      SetFlag("--enable-updates", &o.enable_updates, true),
+      UintFlag("--update-queue", 1, 1 << 24, &o.update_queue),
+      StringFlag("--compact-path", &o.compact_path),
+      UintFlag("--compact-every", 0, 1 << 24, &o.compact_every),
+      UintFlag("--write-deadline-ms", 0, kMaxMs, &o.write_deadline_ms),
+      UintFlag("--max-out-kb", 1, 1 << 22, &o.max_output_buffer, 10),
+      UintFlag("--watchdog-interval-ms", 0, kMaxMs, &o.watchdog_interval_ms),
+      UintFlag("--sndbuf-kb", 1, 1 << 20, &o.so_sndbuf, 10),
+      SetFlag("--fast-drain", &o.fast_drain, true),
+      UintFlag("--scrub-interval-ms", 1, kMaxMs, &o.scrub_interval_ms),
+  };
   std::vector<const char*> pos;
-  long n = 0;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bundle") == 0 && i + 1 < argc) {
-      args->bundle_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
-      args->options.host = argv[++i];
-    } else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) {
-      args->port_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--port") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 65535, &n)) return false;
-      args->options.port = static_cast<uint16_t>(n);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1024, &n)) return false;
-      args->options.num_threads = static_cast<unsigned>(n);
-    } else if (std::strcmp(argv[i], "--max-connections") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 20, &n) || n == 0) return false;
-      args->options.max_connections = static_cast<unsigned>(n);
-    } else if (std::strcmp(argv[i], "--max-queue") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n) || n == 0) return false;
-      args->options.max_queue = static_cast<std::size_t>(n);
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
-      args->options.default_deadline_ms = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--no-memo") == 0) {
-      args->options.enable_memo = false;
-    } else if (std::strcmp(argv[i], "--enable-updates") == 0) {
-      args->options.enable_updates = true;
-    } else if (std::strcmp(argv[i], "--update-queue") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n) || n == 0) return false;
-      args->options.update_queue = static_cast<std::size_t>(n);
-    } else if (std::strcmp(argv[i], "--compact-path") == 0 && i + 1 < argc) {
-      args->options.compact_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--compact-every") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n)) return false;
-      args->options.compact_every = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--write-deadline-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
-      args->options.write_deadline_ms = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--max-out-kb") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 22, &n) || n == 0) return false;
-      args->options.max_output_buffer = static_cast<std::size_t>(n) << 10;
-    } else if (std::strcmp(argv[i], "--watchdog-interval-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
-      args->options.watchdog_interval_ms = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--sndbuf-kb") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 20, &n) || n == 0) return false;
-      args->options.so_sndbuf = static_cast<uint32_t>(n) << 10;
-    } else if (std::strcmp(argv[i], "--fast-drain") == 0) {
-      args->options.fast_drain = true;
-    } else if (std::strcmp(argv[i], "--scrub-interval-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n) || n == 0) return false;
-      args->options.scrub_interval_ms = static_cast<uint32_t>(n);
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      return false;
-    } else {
-      pos.push_back(argv[i]);
-    }
-  }
-  if (!args->options.compact_path.empty() && !args->options.enable_updates) {
+  if (!ParseFlags(argc, argv, flags, &pos)) return false;
+  if (!o.compact_path.empty() && !o.enable_updates) {
     return false;  // compaction is the update writer's job
   }
-  if (args->options.scrub_interval_ms > 0 &&
-      (args->bundle_path.empty() || args->options.enable_updates)) {
+  if (o.scrub_interval_ms > 0 &&
+      (args->bundle_path.empty() || o.enable_updates)) {
     // The scrubber verifies a bundle file and republishes via the static
     // recovery path; it cannot coexist with the update writer.
     return false;
   }
-  if (args->bundle_path.empty()) {
-    if (pos.size() != 1) return false;
-    args->graph_path = pos[0];
-  } else if (!pos.empty()) {
-    return false;
-  }
+  const std::size_t k = args->bundle_path.empty() ? 1 : 0;
+  if (pos.size() != k) return false;
+  if (k == 1) args->graph_path = pos[0];
   return true;
 }
 
@@ -949,8 +936,7 @@ struct ClientArgs {
   std::string batch_path;
   unsigned connections = 0;  ///< nonzero = soak mode
   double duration_s = 0.0;
-  uint32_t q = 0, alpha = 0, beta = 0;
-  bool single = false;
+  BatchQuery query;  ///< the positional `q alpha beta` under --side
   /// Transport knobs, forwarded into ClientOptions for every mode.
   abcs::serve::ClientOptions transport;
   /// Chaos probe: pipeline this many copies of the single query, hold
@@ -967,95 +953,75 @@ struct ClientArgs {
   std::string update_file;
 };
 
-bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
-  std::vector<const char*> pos;
-  long n = 0;
-  // `--insert u v w`, `--remove u v`, `--reweight u v w` (layer-local).
-  auto parse_update = [&](int* i, abcs::serve::UpdateOp op) {
-    ClientArgs::UpdateSpec spec;
-    spec.op = op;
-    long u = 0, v = 0;
-    if (!ParseFlagUint(argc, argv, i, kMaxU32, &u) ||
-        !ParseFlagUint(argc, argv, i, kMaxU32, &v)) {
-      return false;
-    }
-    if (op != abcs::serve::UpdateOp::kRemoveEdge &&
-        !ParseFlagReal(argc, argv, i, &spec.weight)) {
-      return false;
-    }
-    spec.u = static_cast<uint32_t>(u);
-    spec.v = static_cast<uint32_t>(v);
-    args->updates.push_back(spec);
-    return true;
-  };
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
-      args->host = argv[++i];
-    } else if (std::strcmp(argv[i], "--port") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 65535, &n) || n == 0) return false;
-      args->port = n;
-    } else if (std::strcmp(argv[i], "--ping") == 0) {
-      args->ping = true;
-    } else if (std::strcmp(argv[i], "--health") == 0) {
-      args->health = true;
-    } else if (std::strcmp(argv[i], "--connect-timeout-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
-      args->transport.connect_timeout_ms = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
-      args->transport.io_timeout_ms = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--retries") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1024, &n) || n == 0) return false;
-      args->transport.max_attempts = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--rcvbuf-kb") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 20, &n) || n == 0) return false;
-      args->transport.so_rcvbuf = static_cast<uint32_t>(n) << 10;
-    } else if (std::strcmp(argv[i], "--flood") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1 << 24, &n) || n == 0) return false;
-      args->flood = static_cast<unsigned>(n);
-    } else if (std::strcmp(argv[i], "--hold-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
-      args->hold_ms = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
-      if (!abcs::serve::ParseWireMethod(argv[++i], &args->method)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--side") == 0) {
-      if (i + 1 >= argc || !ParseSide(argv[++i], &args->lower_side)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, kMaxMs, &n)) return false;
-      args->deadline_ms = static_cast<uint32_t>(n);
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      args->batch_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--connections") == 0) {
-      if (!ParseFlagUint(argc, argv, &i, 1024, &n) || n == 0) return false;
-      args->connections = static_cast<unsigned>(n);
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      // Positive and at most a day: the soak sleeps for this long.
-      if (!ParseFlagReal(argc, argv, &i, &args->duration_s) ||
-          args->duration_s <= 0 || args->duration_s > 86400) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--insert") == 0) {
-      if (!parse_update(&i, abcs::serve::UpdateOp::kInsertEdge)) return false;
-    } else if (std::strcmp(argv[i], "--remove") == 0) {
-      if (!parse_update(&i, abcs::serve::UpdateOp::kRemoveEdge)) return false;
-    } else if (std::strcmp(argv[i], "--reweight") == 0) {
-      if (!parse_update(&i, abcs::serve::UpdateOp::kReweightEdge)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--commit") == 0) {
-      args->updates.push_back(ClientArgs::UpdateSpec{});  // kCommit
-    } else if (std::strcmp(argv[i], "--update-file") == 0 && i + 1 < argc) {
-      args->update_file = argv[++i];
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      return false;
-    } else {
-      pos.push_back(argv[i]);
-    }
+/// The update ops by client flag and update-file tag, with the number of
+/// `u v [w]` values (layer-local ids) each takes.
+struct UpdateVerb {
+  const char* flag;
+  const char* tag;
+  abcs::serve::UpdateOp op;
+  int arity;
+};
+constexpr UpdateVerb kUpdateVerbs[] = {
+    {"--insert", "i", abcs::serve::UpdateOp::kInsertEdge, 3},
+    {"--remove", "r", abcs::serve::UpdateOp::kRemoveEdge, 2},
+    {"--reweight", "w", abcs::serve::UpdateOp::kReweightEdge, 3},
+    {"--commit", "c", abcs::serve::UpdateOp::kCommit, 0}};
+
+/// The values of one update op, from the command line or an update file:
+/// ids fit u32 and the weight is a whole finite decimal.
+bool ParseUpdate(const UpdateVerb& verb, Values values,
+                 ClientArgs::UpdateSpec* out) {
+  out->op = verb.op;
+  if (verb.arity == 0) return true;  // commit
+  long u = 0, v = 0;
+  if (!ParseUint(values[0], kMaxU32, &u) ||
+      !ParseUint(values[1], kMaxU32, &v) ||
+      (verb.arity == 3 && !ParseReal(values[2], &out->weight))) {
+    return false;
   }
+  out->u = static_cast<uint32_t>(u);
+  out->v = static_cast<uint32_t>(v);
+  return true;
+}
+
+bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
+  auto method = [args](Values v) {
+    return abcs::serve::ParseWireMethod(v[0], &args->method);
+  };
+  // Positive and at most a day: the soak sleeps for this long.
+  auto duration = [args](Values v) {
+    return ParseReal(v[0], &args->duration_s) && args->duration_s > 0 &&
+           args->duration_s <= 86400;
+  };
+  abcs::serve::ClientOptions& t = args->transport;
+  std::vector<Flag> flags = {
+      StringFlag("--host", &args->host),
+      UintFlag("--port", 1, 65535, &args->port),
+      SetFlag("--ping", &args->ping, true),
+      SetFlag("--health", &args->health, true),
+      UintFlag("--connect-timeout-ms", 0, kMaxMs, &t.connect_timeout_ms),
+      UintFlag("--io-timeout-ms", 0, kMaxMs, &t.io_timeout_ms),
+      UintFlag("--retries", 1, 1024, &t.max_attempts),
+      UintFlag("--rcvbuf-kb", 1, 1 << 20, &t.so_rcvbuf, 10),
+      UintFlag("--flood", 1, 1 << 24, &args->flood),
+      UintFlag("--hold-ms", 0, kMaxMs, &args->hold_ms),
+      {"--method", 1, method},
+      SideFlag(&args->lower_side),
+      UintFlag("--deadline-ms", 0, kMaxMs, &args->deadline_ms),
+      StringFlag("--batch", &args->batch_path),
+      UintFlag("--connections", 1, 1024, &args->connections),
+      {"--duration", 1, duration},
+      StringFlag("--update-file", &args->update_file),
+  };
+  for (const UpdateVerb& verb : kUpdateVerbs) {
+    auto update = [args, &verb](Values v) {
+      args->updates.emplace_back();
+      return ParseUpdate(verb, v, &args->updates.back());
+    };
+    flags.push_back({verb.flag, verb.arity, update});
+  }
+  std::vector<const char*> pos;
+  if (!ParseFlags(argc, argv, flags, &pos)) return false;
   if (args->port < 0) return false;  // --port is mandatory
   const bool update_mode = !args->updates.empty() || !args->update_file.empty();
   if (args->ping || args->health) {
@@ -1077,57 +1043,24 @@ bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
   if (pos.size() != 3 || args->connections != 0 || args->duration_s > 0) {
     return false;
   }
-  long q = 0, alpha = 0, beta = 0;
-  if (!ParseUint(pos[0], kMaxU32, &q) ||
-      !ParseUint(pos[1], kMaxU32, &alpha) ||
-      !ParseUint(pos[2], kMaxU32, &beta)) {
-    return false;
-  }
-  args->single = true;
-  args->q = static_cast<uint32_t>(q);
-  args->alpha = static_cast<uint32_t>(alpha);
-  args->beta = static_cast<uint32_t>(beta);
-  return args->alpha >= 1 && args->beta >= 1;
+  args->query.lower = args->lower_side;
+  return ParseQab(pos.data(), &args->query.q, &args->query.alpha,
+                  &args->query.beta);
 }
 
-// Client-side batch parse: same `q alpha beta [u|l]` lines as the CLI's
-// batch runner, but kept layer-local — the server owns the id space and
-// range checks (kInvalidVertex).
-abcs::Status ParseClientBatch(const std::string& path, const ClientArgs& args,
-                              std::vector<abcs::serve::WireRequest>* out) {
-  std::ifstream in(path);
-  if (!in) return abcs::Status::NotFound("cannot open batch file " + path);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#' ||
-        line[first] == '%') {
-      continue;
-    }
-    unsigned long id = 0, alpha = 0, beta = 0;
-    char side = args.lower_side ? 'l' : 'u';
-    char junk[2];
-    const int got = std::sscanf(line.c_str(), "%lu %lu %lu %c %1s", &id,
-                                &alpha, &beta, &side, junk);
-    if (got < 3 || got > 4 || alpha == 0 || beta == 0 ||
-        alpha > 0xffffffffUL || beta > 0xffffffffUL ||
-        (side != 'u' && side != 'l')) {
-      return abcs::Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) + ": expected `q alpha beta " +
-          "[u|l]`, got `" + line + "`");
-    }
-    abcs::serve::WireRequest req;
-    req.method = args.method;
-    req.lower_side = (side == 'l');
-    req.q = static_cast<uint32_t>(id);
-    req.alpha = static_cast<uint32_t>(alpha);
-    req.beta = static_cast<uint32_t>(beta);
-    req.deadline_ms = args.deadline_ms;
-    out->push_back(req);
-  }
-  return abcs::Status::OK();
+/// The wire request for one query under the client's --method and
+/// --deadline-ms. q stays layer-local: the daemon owns the id space and
+/// range-checks it (kInvalidVertex).
+abcs::serve::WireRequest WireRequestOf(const ClientArgs& args,
+                                       const BatchQuery& b) {
+  abcs::serve::WireRequest req;
+  req.method = args.method;
+  req.lower_side = b.lower;
+  req.q = b.q;
+  req.alpha = b.alpha;
+  req.beta = b.beta;
+  req.deadline_ms = args.deadline_ms;
+  return req;
 }
 
 const char* ClientKernelName(uint8_t kernel) {
@@ -1279,59 +1212,21 @@ int RunClientSoak(const ClientArgs& args,
   return total_errors.load() == 0 ? 0 : 1;
 }
 
-// Update-file lines, one op each: `i u v w`, `r u v`, `w u v w`, `c`
-// (layer-local ids; % and # comment lines ignored).
+/// Update-file lines, one op each: a kUpdateVerbs tag and its values.
 abcs::Status ParseUpdateFile(const std::string& path,
                              std::vector<ClientArgs::UpdateSpec>* out) {
-  std::ifstream in(path);
-  if (!in) return abcs::Status::NotFound("cannot open update file " + path);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#' ||
-        line[first] == '%') {
-      continue;
+  return ForEachLine(path, [&](const std::vector<const char*>& words) {
+    for (const UpdateVerb& verb : kUpdateVerbs) {
+      ClientArgs::UpdateSpec s;
+      if (std::strcmp(words[0], verb.tag) == 0 &&
+          words.size() == 1 + static_cast<std::size_t>(verb.arity) &&
+          ParseUpdate(verb, words.data() + 1, &s)) {
+        out->push_back(s);
+        return static_cast<const char*>(nullptr);
+      }
     }
-    ClientArgs::UpdateSpec s;
-    char tag = 0;
-    char junk[2];
-    unsigned long u = 0, v = 0;
-    double w = 0.0;
-    bool ok = false;
-    switch (line[first]) {
-      case 'i':
-      case 'w':
-        ok = std::sscanf(line.c_str(), " %c %lu %lu %lf %1s", &tag, &u, &v,
-                         &w, junk) == 4;
-        s.op = line[first] == 'i' ? abcs::serve::UpdateOp::kInsertEdge
-                                  : abcs::serve::UpdateOp::kReweightEdge;
-        break;
-      case 'r':
-        ok = std::sscanf(line.c_str(), " %c %lu %lu %1s", &tag, &u, &v,
-                         junk) == 3;
-        s.op = abcs::serve::UpdateOp::kRemoveEdge;
-        break;
-      case 'c':
-        ok = std::sscanf(line.c_str(), " %c %1s", &tag, junk) == 1;
-        s.op = abcs::serve::UpdateOp::kCommit;
-        break;
-      default:
-        break;
-    }
-    if (!ok || u > 0xffffffffUL || v > 0xffffffffUL) {
-      return abcs::Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) +
-          ": expected `i u v w`, `r u v`, `w u v w` or `c`, got `" + line +
-          "`");
-    }
-    s.u = static_cast<uint32_t>(u);
-    s.v = static_cast<uint32_t>(v);
-    s.weight = w;
-    out->push_back(s);
-  }
-  return abcs::Status::OK();
+    return "expected `i u v w`, `r u v`, `w u v w` or `c`";
+  });
 }
 
 int RunClientUpdates(const ClientArgs& args,
@@ -1368,13 +1263,7 @@ int RunClientUpdates(const ClientArgs& args,
 // this connection instead of stalling a worker; both outcomes print and
 // exit 0 — the server's slow_dropped counter is the assertion surface.
 int RunClientFlood(const ClientArgs& args) {
-  abcs::serve::WireRequest req;
-  req.method = args.method;
-  req.lower_side = args.lower_side;
-  req.q = args.q;
-  req.alpha = args.alpha;
-  req.beta = args.beta;
-  req.deadline_ms = args.deadline_ms;
+  const abcs::serve::WireRequest req = WireRequestOf(args, args.query);
   abcs::serve::Client client(args.transport);
   abcs::Status st = client.Connect(args.host, static_cast<uint16_t>(args.port));
   if (!st.ok()) return Fail(st);
@@ -1437,23 +1326,22 @@ int CmdClient(const ClientArgs& args) {
     return RunClientUpdates(args, updates);
   }
   if (!args.batch_path.empty()) {
-    std::vector<abcs::serve::WireRequest> requests;
-    const abcs::Status st = ParseClientBatch(args.batch_path, args, &requests);
+    std::vector<BatchQuery> lines;
+    const abcs::Status st =
+        ParseBatchFile(args.batch_path, args.lower_side, nullptr, &lines);
     if (!st.ok()) return Fail(st);
-    if (requests.empty()) {
+    if (lines.empty()) {
       return Fail(abcs::Status::InvalidArgument("empty batch file"));
+    }
+    std::vector<abcs::serve::WireRequest> requests;
+    for (const BatchQuery& b : lines) {
+      requests.push_back(WireRequestOf(args, b));
     }
     return args.connections > 0 ? RunClientSoak(args, requests)
                                 : RunClientBatch(args, requests);
   }
   if (args.flood > 0) return RunClientFlood(args);
-  abcs::serve::WireRequest req;
-  req.method = args.method;
-  req.lower_side = args.lower_side;
-  req.q = args.q;
-  req.alpha = args.alpha;
-  req.beta = args.beta;
-  req.deadline_ms = args.deadline_ms;
+  const abcs::serve::WireRequest req = WireRequestOf(args, args.query);
   abcs::serve::Client client(args.transport);
   abcs::Status st = client.Connect(args.host, static_cast<uint16_t>(args.port));
   if (!st.ok()) return Fail(st);
@@ -1477,38 +1365,28 @@ int main(int argc, char** argv) {
   if (cmd == "index" || cmd == "build") {
     // `abcs index <graph> <bundle-out>` or `abcs index <graph> --out FILE`,
     // optionally `--compress[=none|fast|max]` (bare --compress = max).
-    std::string graph_path, out_path;
-    abcs::BundleCompression compression = abcs::BundleCompression::kNone;
-    bool ok = true;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-        ok = ok && out_path.empty();
-        out_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--compress") == 0) {
-        compression = abcs::BundleCompression::kMax;
-      } else if (std::strncmp(argv[i], "--compress=", 11) == 0) {
-        const std::string level = argv[i] + 11;
-        if (level == "none") {
-          compression = abcs::BundleCompression::kNone;
-        } else if (level == "fast") {
-          compression = abcs::BundleCompression::kFast;
-        } else if (level == "max") {
-          compression = abcs::BundleCompression::kMax;
-        } else {
-          ok = false;
-        }
-      } else if (std::strncmp(argv[i], "--", 2) == 0) {
-        ok = false;
-      } else if (graph_path.empty()) {
-        graph_path = argv[i];
-      } else if (out_path.empty()) {
-        out_path = argv[i];
-      } else {
-        ok = false;
-      }
+    using abcs::BundleCompression;
+    std::string out_path;
+    BundleCompression compression = BundleCompression::kNone;
+    auto out = [&out_path](Values v) {
+      if (!out_path.empty()) return false;
+      out_path = v[0];
+      return true;
+    };
+    const std::vector<Flag> flags = {
+        {"--out", 1, out},
+        SetFlag("--compress", &compression, BundleCompression::kMax),
+        SetFlag("--compress=none", &compression, BundleCompression::kNone),
+        SetFlag("--compress=fast", &compression, BundleCompression::kFast),
+        SetFlag("--compress=max", &compression, BundleCompression::kMax),
+    };
+    std::vector<const char*> pos;
+    if (!ParseFlags(argc, argv, flags, &pos) ||
+        pos.size() != (out_path.empty() ? 2u : 1u)) {
+      return Usage();
     }
-    if (!ok || graph_path.empty() || out_path.empty()) return Usage();
-    return CmdIndex(graph_path, out_path, compression);
+    return CmdIndex(pos[0], out_path.empty() ? pos[1] : out_path,
+                    compression);
   }
   if (cmd == "inspect" && argc == 3) return CmdInspect(argv[2]);
   if (cmd == "gen" && argc == 4) return CmdGen(argv[2], argv[3]);
@@ -1524,13 +1402,7 @@ int main(int argc, char** argv) {
   }
   if (cmd == "query" || cmd == "scs" || cmd == "profile") {
     QueryArgs args;
-    if (!ParseQueryArgs(argc, argv, &args)) return Usage();
-    // Batch mode (and its flags) exist only for `query`; --algo only for
-    // `scs` — a silently-ignored flag would mask a mistyped command.
-    if (cmd != "query" && (!args.batch_path.empty() || args.batch_only_flags)) {
-      return Usage();
-    }
-    if (cmd != "scs" && args.algo_set) return Usage();
+    if (!ParseQueryArgs(cmd, argc, argv, &args)) return Usage();
     if (cmd == "query") return CmdQuery(args);
     if (cmd == "scs") return CmdScs(args);
     return CmdProfile(args);
