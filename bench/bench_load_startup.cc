@@ -6,9 +6,10 @@
 // process start afterwards is an O(file) open (or O(1) copies + lazy page
 // faults for unverified mmap); compressed rows additionally report the
 // encode cost, the raw-vs-compressed byte ratio and the decode-to-first-
-// query time. Emits BENCH_load.json (rows keyed dataset × compression,
-// with bundle_bytes / compression_ratio checked warn-only against the
-// committed baseline) for the CI bench-smoke artifact.
+// query time. Emits BENCH_load.json (the machine it ran on, then rows
+// keyed dataset × compression, with bundle_bytes / compression_ratio /
+// open_mmap_seconds checked warn-only against the committed baseline) for
+// the CI bench-smoke artifact.
 //
 // Usage: bench_load_startup [out.json]
 // ABCS_BENCH_DATASETS / ABCS_BENCH_DATASET: registry names (default BS),
@@ -216,7 +217,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench\": \"load_startup\",\n  \"results\": [\n");
+  std::fprintf(out,
+               "{\n  \"bench\": \"load_startup\",\n  \"machine\": %s,\n"
+               "  \"results\": [\n",
+               abcs::bench::MachineJson().c_str());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(

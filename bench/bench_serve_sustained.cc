@@ -10,7 +10,9 @@
 // latency is measured completion − *scheduled* arrival — so queueing
 // delay is charged to the server, not silently absorbed by a
 // coordinated-omission closed loop. The offered rate is 70% of the
-// measured closed-loop capacity at each thread count.
+// measured closed-loop capacity at each thread count. Each thread count
+// runs the open loop kRunsPerRow times and reports the run with the median
+// p99 (its p50, p99, p999 and achieved rate).
 //
 // Emits BENCH_serve.json with the machine it ran on and one row per
 // thread count; each row keeps `"mode": "work_steal"` so the rows stay
@@ -18,7 +20,7 @@
 //
 // Environment:
 //   ABCS_BENCH_DATASET        registry dataset (default BS)
-//   ABCS_BENCH_SERVE_SECONDS  open-loop duration per config (default 2)
+//   ABCS_BENCH_SERVE_SECONDS  duration of one open-loop run (default 2)
 //   argv[1]                   output JSON path (default BENCH_serve.json)
 
 #include <algorithm>
@@ -47,6 +49,10 @@ constexpr std::size_t kOnlineStride = 7;
 // Simulated client connections; the scheduler hint pins a stream to one
 // worker exactly like the daemon's per-connection affinity.
 constexpr unsigned kStreams = 16;
+// Open-loop runs per thread row. The producer shares the cores with the
+// workers, so one run's p99 spreads several-fold on a 4-core box; the row
+// reports the run with the median p99.
+constexpr int kRunsPerRow = 5;
 
 struct Workload {
   std::vector<abcs::QueryRequest> requests;
@@ -241,7 +247,15 @@ int main(int argc, char** argv) {
     const double capacity = MeasureCapacity(workers, threads, 4000);
     const double offered = 0.7 * capacity;
 
-    const RunResult run = RunOpenLoop(workers, threads, offered, seconds);
+    std::vector<RunResult> runs;
+    for (int r = 0; r < kRunsPerRow; ++r) {
+      runs.push_back(RunOpenLoop(workers, threads, offered, seconds));
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const RunResult& a, const RunResult& b) {
+                return a.p99_us < b.p99_us;
+              });
+    const RunResult run = runs[runs.size() / 2];
     rows.push_back(Row{threads, run});
     std::printf("%-12s %8u %12.1f %12.1f %10.1f %10.1f %10.1f\n", "work_steal",
                 threads, run.offered_qps, run.achieved_qps, run.p50_us,

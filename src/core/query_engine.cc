@@ -18,34 +18,6 @@ void FillPercentiles(std::vector<double>& latencies, double* p50, double* p99) {
   *p99 = latencies[(k * 99 + 99) / 100 - 1];
 }
 
-// Runs `body(t, i)` for every i in [0, n), exactly once each, across
-// `num_threads` work-stealing workers, which redistribute the indices
-// queued behind a slow query. Which worker executes an index never affects
-// the result — `body` writes only slot i — so every thread count produces
-// a bit-identical batch.
-template <typename Body>
-void DispatchLoop(std::size_t n, unsigned num_threads, Body&& body) {
-  if (num_threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(0u, i);
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  // Declared before the thread spawns so it outlives them through the
-  // join below. The packed ranges hold 32-bit bounds; a batch large
-  // enough to overflow them (> 4G requests) cannot be materialised anyway.
-  abcs::WorkStealingRanges ranges(n, num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::size_t i = ranges.Next(t);
-           i != abcs::WorkStealingRanges::kDone; i = ranges.Next(t)) {
-        body(t, i);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-}
-
 }  // namespace
 
 namespace abcs {
@@ -129,7 +101,7 @@ BatchResult QueryEngine::RunBatch(std::span<const QueryRequest> requests,
   };
 
   Timer wall;
-  DispatchLoop(requests.size(), num_threads, body);
+  DispatchWorkStealing(requests.size(), num_threads, body);
   result.wall_seconds = wall.Seconds();
 
   BatchStats& stats = result.stats;
@@ -221,7 +193,7 @@ ScsBatchResult QueryEngine::RunScsBatch(std::span<const QueryRequest> requests,
   };
 
   Timer wall;
-  DispatchLoop(requests.size(), num_threads, body);
+  DispatchWorkStealing(requests.size(), num_threads, body);
   result.wall_seconds = wall.Seconds();
 
   ScsBatchStats& stats = result.stats;

@@ -1,19 +1,22 @@
 #ifndef ABCS_CORE_WORK_STEAL_H_
 #define ABCS_CORE_WORK_STEAL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace abcs {
 
 /// \brief Lock-free work-stealing partition of the index range [0, n).
 ///
-/// The one dispatch policy of `QueryEngine` batches. A static split lets
-/// one slow query stall every request queued behind it on the same worker
-/// (the online-method p99 cliff in BENCH_query: p50 0.78 ms vs p99
-/// 12.8 ms at 4 threads). Here every worker starts with one
+/// The one dispatch policy of `QueryEngine` batches and of the bundle
+/// opener's per-section checksum+decode pass (`DispatchWorkStealing`).
+/// A static split lets one slow query stall every request queued behind
+/// it on the same worker (the online-method p99 cliff in BENCH_query: p50
+/// 0.78 ms vs p99 12.8 ms at 4 threads). Here every worker starts with one
 /// contiguous chunk of the batch; a worker that drains its chunk steals
 /// the upper half of the largest remaining victim chunk, so queued work
 /// behind a long-running query is redistributed instead of waiting.
@@ -40,15 +43,18 @@ class WorkStealingRanges {
   /// chunk w+1 begins; sizes differ by at most one).
   WorkStealingRanges(std::size_t n, unsigned workers)
       : slots_(workers), num_workers_(workers) {
-    const std::size_t base = n / workers;
-    const std::size_t extra = n % workers;
-    std::size_t begin = 0;
     for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t len = base + (w < extra ? 1 : 0);
-      slots_[w].range.store(Pack(begin, begin + len),
-                            std::memory_order_relaxed);
-      begin += len;
+      slots_[w].range.store(
+          Pack(ChunkBegin(n, workers, w), ChunkBegin(n, workers, w + 1)),
+          std::memory_order_relaxed);
     }
+  }
+
+  /// First index of worker `w`'s initial chunk (the first `n % workers`
+  /// chunks hold one extra index). Callers that order their work, such as
+  /// largest-first, use it to place the head of each worker's queue.
+  static std::size_t ChunkBegin(std::size_t n, unsigned workers, unsigned w) {
+    return w * (n / workers) + std::min<std::size_t>(w, n % workers);
   }
 
   /// Returns the next index for worker `t`, or `kDone` when no work is
@@ -109,6 +115,34 @@ class WorkStealingRanges {
   std::vector<Slot> slots_;
   unsigned num_workers_;
 };
+
+/// Runs `body(t, i)` for every i in [0, n), exactly once each, across
+/// `num_threads` work-stealing workers (t is the worker's index), which
+/// redistribute the indices queued behind a slow one. One worker runs on
+/// the calling thread. Which worker executes an index must not affect the
+/// result — `body` should write only state owned by index i or worker t.
+template <typename Body>
+void DispatchWorkStealing(std::size_t n, unsigned num_threads, Body&& body) {
+  if (num_threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(0u, i);
+    return;
+  }
+  // Declared before the thread spawns so it outlives them through the
+  // join below. The packed ranges hold 32-bit bounds; a job list large
+  // enough to overflow them (> 4G indices) cannot be materialised anyway.
+  WorkStealingRanges ranges(n, num_threads);
+  auto work = [&](unsigned t) {
+    for (std::size_t i = ranges.Next(t); i != WorkStealingRanges::kDone;
+         i = ranges.Next(t)) {
+      body(t, i);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(num_threads - 1);
+  for (unsigned t = 1; t < num_threads; ++t) threads.emplace_back(work, t);
+  work(0);
+  for (std::thread& th : threads) th.join();
+}
 
 }  // namespace abcs
 

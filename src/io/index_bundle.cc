@@ -4,15 +4,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <thread>
 #include <type_traits>
 
 #include "common/fnv.h"
+#include "core/work_steal.h"
 #include "io/fault_inject.h"
 
 namespace abcs {
@@ -79,7 +82,8 @@ static_assert(sizeof(SectionRecordV2) == 56);
 static_assert(std::is_trivially_copyable_v<SectionRecordV2>);
 
 /// A TOC record normalised across format versions, plus the pooled decode
-/// destination assigned to encoded sections.
+/// destination assigned to encoded sections and the outcome of the
+/// parallel checksum+decode pass over its payload.
 struct SectionMeta {
   char name[16] = {};
   uint64_t offset = 0;
@@ -88,7 +92,13 @@ struct SectionMeta {
   uint64_t checksum = 0;
   SectionCodec codec = SectionCodec::kRaw;
   std::byte* decode_dst = nullptr;  ///< pool slice; null for raw sections
+  Status status;  ///< checksum/decode failure, reported by MapSection
 };
+
+/// u32 columns per element of a section array; 0 when the element size is
+/// not a multiple of 4 and the section can only be stored raw.
+template <typename T>
+constexpr uint32_t kLanes = sizeof(T) % 4 == 0 ? sizeof(T) / 4 : 0;
 
 /// `name` fields are NUL-padded but a crafted file can fill all 16 bytes;
 /// never assume termination when building a diagnostic.
@@ -107,34 +117,104 @@ struct OpenCtx {
   std::vector<SectionMeta> toc;
   const std::string* path = nullptr;
   bool verify = true;
+  /// Threads for the payload pass and the element scans:
+  /// min(hardware threads, sections).
+  unsigned workers = 1;
 
   Status Corrupt(const std::string& what) const {
     return Status::Corruption(*path + ": " + what);
   }
+
+  /// Index of the first TOC record named `name`, or toc.size().
+  std::size_t Find(const char* name) const {
+    std::size_t i = 0;
+    while (i < toc.size() &&
+           std::strncmp(toc[i].name, name, sizeof(toc[i].name)) != 0) {
+      ++i;
+    }
+    return i;
+  }
 };
+
+/// One section payload for the parallel pass; `lanes` comes from the
+/// element type the bundle maps the section as.
+struct SectionJob {
+  const char* name = nullptr;
+  std::size_t toc_index = 0;
+  uint32_t lanes = 0;
+};
+
+/// Checks one section's stored bytes (when verifying) and decodes it into
+/// its pool slice, recording any failure in its `status`. Touches only its
+/// own record and pool slice, so sections run concurrently.
+void CheckAndDecodeSection(OpenCtx& ctx, const SectionJob& job) {
+  SectionMeta& rec = ctx.toc[job.toc_index];
+  // The content checksum always covers the stored bytes: for an encoded
+  // section a flipped disk byte is rejected here, before the decoder ever
+  // sees the stream.
+  if (ctx.verify && BundleChecksum(ctx.base + rec.offset,
+                                   rec.stored_length) != rec.checksum) {
+    rec.status = ctx.Corrupt(std::string("checksum mismatch in section ") +
+                             job.name);
+    return;
+  }
+  // An element type without u32 lanes is MapSection's error to report. A
+  // decoded length that is not a whole number of elements fails the
+  // decoder's shape check; MapSection reports it before this status.
+  if (rec.codec == SectionCodec::kRaw || job.lanes == 0) return;
+  const Status st =
+      DecodeU32Section(rec.codec, ctx.base + rec.offset, rec.stored_length,
+                       job.lanes, rec.decode_dst, rec.decoded_length);
+  if (!st.ok()) {
+    rec.status = ctx.Corrupt(std::string("section ") + job.name + " (" +
+                             SectionCodecName(rec.codec) +
+                             "): " + std::string(st.message()));
+  }
+}
+
+/// Runs every job on min(hardware threads, jobs) work-stealing workers,
+/// largest stored payload first. WorkStealingRanges hands each worker a
+/// contiguous chunk and thieves take chunk tails, so the size-sorted jobs
+/// are dealt round-robin into the chunks: every worker starts on one of
+/// the largest sections, and stolen work is the smallest.
+void CheckAndDecodeSections(OpenCtx& ctx, std::vector<SectionJob> jobs) {
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [&ctx](const SectionJob& a, const SectionJob& b) {
+                     return ctx.toc[a.toc_index].stored_length >
+                            ctx.toc[b.toc_index].stored_length;
+                   });
+  const std::size_t n = jobs.size();
+  const unsigned workers =
+      static_cast<unsigned>(std::min<std::size_t>(ctx.workers, n));
+  std::vector<SectionJob> order(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const unsigned w = static_cast<unsigned>(k % workers);
+    order[WorkStealingRanges::ChunkBegin(n, workers, w) + k / workers] =
+        jobs[k];
+  }
+  DispatchWorkStealing(n, workers, [&](unsigned, std::size_t i) {
+    CheckAndDecodeSection(ctx, order[i]);
+  });
+}
 
 /// Locates section `name` and wires `*out` as a borrowed span over its
 /// payload: raw sections view the backing bytes in place; encoded sections
-/// decode once into their pre-assigned pool slice and the span views that.
-/// `expect_count` pins the element count (kAnyCount skips; the caller then
-/// validates against sibling sections). Byte ranges were bounds-checked
-/// against the file when the TOC was parsed, so neither the checksum scan
-/// nor the decoder can read past the backing region.
+/// view the pool slice the parallel pass decoded them into. `expect_count`
+/// pins the element count (kAnyCount skips; the caller then validates
+/// against sibling sections). Byte ranges were bounds-checked against the
+/// file when the TOC was parsed, so neither the checksum scan nor the
+/// decoder could read past the backing region. Called in open order, so
+/// the first bad section in that order is the one reported.
 template <typename T>
 Status MapSection(const OpenCtx& ctx, const char* name, uint64_t expect_count,
                   ArenaStorage<T>* out) {
   static_assert(std::is_trivially_copyable_v<T>);
   static_assert(alignof(T) <= kAlign);
-  const SectionMeta* rec = nullptr;
-  for (const SectionMeta& r : ctx.toc) {
-    if (std::strncmp(r.name, name, sizeof(r.name)) == 0) {
-      rec = &r;
-      break;
-    }
-  }
-  if (rec == nullptr) {
+  const std::size_t index = ctx.Find(name);
+  if (index == ctx.toc.size()) {
     return ctx.Corrupt(std::string("missing section ") + name);
   }
+  const SectionMeta* rec = &ctx.toc[index];
   if (rec->decoded_length % sizeof(T) != 0) {
     return ctx.Corrupt(std::string("section ") + name +
                        " is not a whole number of elements");
@@ -144,35 +224,40 @@ Status MapSection(const OpenCtx& ctx, const char* name, uint64_t expect_count,
     return ctx.Corrupt(std::string("section ") + name +
                        " has the wrong element count");
   }
-  // The content checksum always covers the stored bytes: for an encoded
-  // section a flipped disk byte is rejected here, before the decoder ever
-  // sees the stream.
-  if (ctx.verify && BundleChecksum(ctx.base + rec->offset,
-                                   rec->stored_length) != rec->checksum) {
-    return ctx.Corrupt(std::string("checksum mismatch in section ") + name);
-  }
+  if (!rec->status.ok()) return rec->status;
   if (rec->codec == SectionCodec::kRaw) {
     *out = ArenaStorage<T>::Borrowed(
         reinterpret_cast<const T*>(ctx.base + rec->offset), count);
     return Status::OK();
   }
-  if constexpr (sizeof(T) % 4 != 0) {
+  if constexpr (kLanes<T> == 0) {
     return ctx.Corrupt(std::string("section ") + name +
                        " cannot carry a codec (element size not a multiple "
                        "of 4)");
   } else {
-    const Status st = DecodeU32Section(
-        rec->codec, ctx.base + rec->offset, rec->stored_length,
-        sizeof(T) / 4, rec->decode_dst, rec->decoded_length);
-    if (!st.ok()) {
-      return ctx.Corrupt(std::string("section ") + name + " (" +
-                         SectionCodecName(rec->codec) +
-                         "): " + std::string(st.message()));
-    }
     *out = ArenaStorage<T>::Borrowed(
         reinterpret_cast<const T*>(rec->decode_dst), count);
     return Status::OK();
   }
+}
+
+/// Runs `scan(lo, hi)` over [0, n) in chunks on the open's workers and
+/// returns the failure of the lowest failing chunk — exactly the one a
+/// serial scan from 0 would report — or OK.
+template <typename Scan>
+Status ScanInChunks(const OpenCtx& ctx, uint64_t n, const Scan& scan) {
+  const std::size_t chunks =
+      static_cast<std::size_t>(std::min<uint64_t>(n, ctx.workers * 8ull));
+  const unsigned workers =
+      static_cast<unsigned>(std::min<std::size_t>(ctx.workers, chunks));
+  std::vector<Status> status(chunks);
+  DispatchWorkStealing(chunks, workers, [&](unsigned, std::size_t c) {
+    status[c] = scan(n * c / chunks, n * (c + 1) / chunks);
+  });
+  for (Status& st : status) {
+    if (!st.ok()) return std::move(st);
+  }
+  return Status::OK();
 }
 
 /// `start`-style arrays must begin at 0 and be non-decreasing for the
@@ -254,10 +339,12 @@ struct BundleAccess {
   static bool ZeroCopy(const IndexBundle& b);
 
   /// The one enumeration of every persisted array, visited as
-  /// (section name, ArenaStorage). Save and ZeroCopy both consume it, so
-  /// a future section cannot be serialised yet silently dropped from the
-  /// zero-copy assertion (Open's per-section validation stays bespoke —
-  /// each section's count derives from its siblings).
+  /// (section name, ArenaStorage). Save, Open's checksum+decode pass and
+  /// ZeroCopy all consume it, so a future section cannot be serialised yet
+  /// silently dropped from the decode pass or the zero-copy assertion, and
+  /// its lane count comes from its element type in both directions (Open's
+  /// per-section validation stays bespoke — each section's count derives
+  /// from its siblings).
   template <typename Fn>
   static void ForEachSection(const BipartiteGraph& g,
                              const BicoreDecomposition& d,
@@ -352,8 +439,7 @@ Status BundleAccess::Save(const BipartiteGraph& g,
   std::vector<Sec> secs;
   ForEachSection(g, d, di, bi, [&secs](const char* name, const auto& arr) {
     using T = typename std::decay_t<decltype(arr)>::value_type;
-    constexpr uint32_t lanes = sizeof(T) % 4 == 0 ? sizeof(T) / 4 : 0;
-    secs.push_back(Sec{name, arr.data(), arr.SizeBytes(), lanes});
+    secs.push_back(Sec{name, arr.data(), arr.SizeBytes(), kLanes<T>});
   });
 
   // Compression policy: for each candidate codec of the requested level,
@@ -653,8 +739,10 @@ Status BundleAccess::Open(const std::string& path,
   }
 
   // One pooled arena for every encoded section: sized once from the TOC's
-  // decoded lengths, u64-backed so each AlignUp slice is 8-aligned, then
-  // handed out as decode destinations — no per-section mallocs.
+  // decoded lengths and mapped 2 MiB-aligned (so every AlignUp slice is
+  // 8-aligned), then handed out as decode destinations — no per-section
+  // mallocs, and no user-space zero fill: the kernel's zero pages are
+  // overwritten by the decoders.
   uint64_t pool_bytes = 0;
   for (const SectionMeta& meta : ctx.toc) {
     if (meta.codec != SectionCodec::kRaw) {
@@ -662,9 +750,9 @@ Status BundleAccess::Open(const std::string& path,
     }
   }
   b->format_version_ = hdr.version;
-  b->pool_.assign(pool_bytes / sizeof(uint64_t), 0);
+  ABCS_RETURN_NOT_OK(MappedFile::Anonymous(pool_bytes, &b->pool_));
   {
-    std::byte* slice = reinterpret_cast<std::byte*>(b->pool_.data());
+    std::byte* slice = b->pool_.mutable_data();
     b->sections_.clear();
     b->sections_.reserve(ctx.toc.size());
     for (SectionMeta& meta : ctx.toc) {
@@ -684,6 +772,27 @@ Status BundleAccess::Open(const std::string& path,
   }
   const uint64_t n = n64;
   const uint64_t m = hdr.num_edges;
+  ctx.workers = static_cast<unsigned>(std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), ctx.toc.size()));
+
+  // Every payload scan runs here, in one parallel pass: each section the
+  // bundle maps gets its stored-byte checksum (when verifying) and its
+  // decode. MapSection below only consumes the recorded outcomes.
+  {
+    std::vector<SectionJob> jobs;
+    ForEachSection(b->graph_, b->decomp_, b->delta_index_, b->bicore_index_,
+                   [&](const char* name, const auto& arr) {
+                     using T = typename std::decay_t<decltype(arr)>::value_type;
+                     const std::size_t index = ctx.Find(name);
+                     if (index == ctx.toc.size()) return;  // reported missing
+                     if (!ctx.verify &&
+                         ctx.toc[index].codec == SectionCodec::kRaw) {
+                       return;  // nothing to check or decode
+                     }
+                     jobs.push_back(SectionJob{name, index, kLanes<T>});
+                   });
+    CheckAndDecodeSections(ctx, std::move(jobs));
+  }
 
   // --- graph -----------------------------------------------------------
   BipartiteGraph& g = b->graph_;
@@ -696,17 +805,29 @@ Status BundleAccess::Open(const std::string& path,
   if (g.offsets_.back() != 2 * m) {
     return ctx.Corrupt("CSR offsets do not cover the arc array");
   }
-  if (ctx.verify) {
-    for (const Arc& a : g.arcs_) {
-      if (a.to >= n || a.eid >= m) {
+  // Element ranges are checked on every open: a query follows these ids
+  // unchecked. Only the content scans (section checksums, the topology and
+  // weight digests) are left to `verify`.
+  const auto arcs_in_range = [&](uint64_t lo, uint64_t hi) {
+    for (uint64_t i = lo; i < hi; ++i) {
+      if (g.arcs_[i].to >= n || g.arcs_[i].eid >= m) {
         return ctx.Corrupt("arc endpoint out of range");
       }
     }
-    for (const Edge& e : g.edges_) {
+    return Status::OK();
+  };
+  ABCS_RETURN_NOT_OK(ScanInChunks(ctx, g.arcs_.size(), arcs_in_range));
+  const auto edges_in_range = [&](uint64_t lo, uint64_t hi) {
+    for (uint64_t i = lo; i < hi; ++i) {
+      const Edge& e = g.edges_[i];
       if (e.u >= hdr.num_upper || e.v < hdr.num_upper || e.v >= n) {
         return ctx.Corrupt("edge endpoint out of range");
       }
     }
+    return Status::OK();
+  };
+  ABCS_RETURN_NOT_OK(ScanInChunks(ctx, g.edges_.size(), edges_in_range));
+  if (ctx.verify) {
     if (GraphTopologyChecksum(g) != hdr.topology_checksum) {
       return ctx.Corrupt("edge payload does not match header topology "
                          "checksum");
@@ -803,12 +924,12 @@ Status BundleAccess::Open(const std::string& path,
                            " level bounds are not non-decreasing");
       }
     }
-    if (ctx.verify) {
-      // Every entry in a level-τ list must reference a vertex that
-      // *owns* level τ: the query BFS hops to entry.to and reads its
-      // level-τ slice unchecked (construction guarantees this; a crafted
-      // bundle must not be able to break it).
-      for (uint64_t v = 0; v < n; ++v) {
+    // Every entry in a level-τ list must reference a vertex that *owns*
+    // level τ: the query BFS hops to entry.to and reads its level-τ slice
+    // unchecked (construction guarantees this; a crafted bundle must not
+    // be able to break it, verified or not).
+    const auto entries_own_levels = [&](uint64_t lo, uint64_t hi) {
+      for (uint64_t v = lo; v < hi; ++v) {
         const uint32_t levels = tb[v + 1] - tb[v] - 1;
         for (uint32_t tau = 1; tau <= levels; ++tau) {
           const uint32_t table = tb[v] + tau - 1;
@@ -825,7 +946,9 @@ Status BundleAccess::Open(const std::string& path,
           }
         }
       }
-    }
+      return Status::OK();
+    };
+    ABCS_RETURN_NOT_OK(ScanInChunks(ctx, n, entries_own_levels));
   }
 
   // --- I_v -------------------------------------------------------------
@@ -845,14 +968,17 @@ Status BundleAccess::Open(const std::string& path,
     ABCS_RETURN_NOT_OK(CheckStartArray(ctx, ss.start_name, ss.side->start));
     ABCS_RETURN_NOT_OK(MapSection(ctx, ss.entries_name, ss.side->start.back(),
                                   &ss.side->entries));
-    if (ctx.verify) {
-      for (const BicoreIndex::Entry& e : ss.side->entries) {
-        if (e.v >= n) {
+    const ArenaStorage<BicoreIndex::Entry>& entries = ss.side->entries;
+    const auto entries_in_range = [&](uint64_t lo, uint64_t hi) {
+      for (uint64_t i = lo; i < hi; ++i) {
+        if (entries[i].v >= n) {
           return ctx.Corrupt(std::string(ss.entries_name) +
                              " references a vertex out of range");
         }
       }
-    }
+      return Status::OK();
+    };
+    ABCS_RETURN_NOT_OK(ScanInChunks(ctx, entries.size(), entries_in_range));
   }
 
   return Status::OK();

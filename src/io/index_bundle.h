@@ -39,10 +39,12 @@ namespace abcs {
 /// `ArenaStorage` spans. Raw sections point straight into the backing
 /// bytes — the mmap'd region (`kMmap`, zero per-array copies, pages fault
 /// in lazily) or one owned buffer read eagerly (`kRead`). Encoded sections
-/// are decoded once into a single pooled, 8-aligned scratch arena owned by
-/// the bundle (one allocation for all sections, no per-section mallocs).
-/// Queries served from an opened bundle are bit-identical to queries from
-/// a fresh in-memory build, compressed or not.
+/// are decoded once into a single pooled, 8-aligned arena owned by the
+/// bundle (one anonymous huge-page mapping for all sections). Every
+/// section's checksum and decode run in one parallel pass before the
+/// structural checks; errors are still reported for the first bad section
+/// in open order. Queries served from an opened bundle are bit-identical
+/// to queries from a fresh in-memory build, compressed or not.
 enum class BundleOpenMode {
   kMmap,  ///< map the file; spans view the mapping (zero-copy, lazy pages)
   kRead,  ///< read the file into one owned buffer; spans view the buffer
@@ -50,11 +52,12 @@ enum class BundleOpenMode {
 
 struct BundleOpenOptions {
   BundleOpenMode mode = BundleOpenMode::kMmap;
-  /// Verify every section checksum and the deep structural bounds on open.
-  /// Defaults on: a corrupted bundle then fails with a clean Status before
-  /// any query can follow a bad offset. Turning it off skips the O(file)
-  /// content scan (trusted local restarts chasing the last bit of startup
-  /// latency); the header, TOC and array-shape checks still run.
+  /// Verify every section checksum and both header digests on open.
+  /// Defaults on: a flipped byte then fails with a clean Status before any
+  /// query can read it. Turning it off skips only those content scans
+  /// (trusted local restarts chasing the last bit of startup latency); the
+  /// header, TOC, array-shape and element-range checks always run, so
+  /// even an unverified bundle cannot steer a query outside its arrays.
   bool verify_checksums = true;
 };
 
@@ -92,10 +95,9 @@ class IndexBundle {
   uint32_t FormatVersion() const { return format_version_; }
   /// Every section in TOC order: name, codec tag, stored/decoded bytes.
   const std::vector<BundleSectionInfo>& Sections() const { return sections_; }
-  /// Bytes of the pooled decode arena (0 for an all-raw bundle).
-  std::size_t DecodePoolBytes() const {
-    return pool_.size() * sizeof(uint64_t);
-  }
+  /// Bytes of the pooled decode arena: the sum of the encoded sections'
+  /// decoded lengths, each rounded up to 8 (0 for an all-raw bundle).
+  std::size_t DecodePoolBytes() const { return pool_.size(); }
   /// True iff every persistent array of every layer is a borrowed span
   /// into the backing bytes (no per-array copies were made on open).
   /// Encoded sections decode into the owned pool, so a compressed bundle
@@ -117,10 +119,12 @@ class IndexBundle {
   uint32_t format_version_ = 0;
   uint64_t topology_checksum_ = 0;  ///< from the header, for match checks
   uint64_t weight_digest_ = 0;      ///< from the header, for match checks
-  /// One pooled decode arena for every encoded section (u64-backed so
-  /// every AlignUp(8) slice is 8-aligned); sized once from the TOC's
-  /// decoded lengths, then sliced per section — no per-section mallocs.
-  std::vector<uint64_t> pool_;
+  /// One pooled decode arena for every encoded section: an anonymous,
+  /// 2 MiB-aligned, huge-page-hinted mapping (kernel-zeroed, so nothing
+  /// pre-fills it), sized once from the TOC's decoded lengths and sliced
+  /// at 8-aligned offsets per section — no per-section mallocs. Each
+  /// slice is written by exactly one decode worker during open.
+  MappedFile pool_;
   std::vector<BundleSectionInfo> sections_;
 
   BipartiteGraph graph_;

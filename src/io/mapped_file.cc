@@ -1,5 +1,7 @@
 #include "io/mapped_file.h"
 
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -51,6 +53,38 @@ Status MappedFile::Open(const std::string& path, MappedFile* out) {
   return Status::OK();
 }
 
+Status MappedFile::Anonymous(std::size_t bytes, MappedFile* out) {
+  out->Close();
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  if (bytes > 0) {
+    // Over-map by one huge page, then trim the head to the first 2 MiB
+    // boundary and the tail to the last page `bytes` needs, so the kept
+    // range is exactly what Close() unmaps.
+    const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t len = (bytes + page - 1) / page * page;
+    const std::size_t span = len + kHugePage;
+    void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) {
+      return Status::IOError("cannot map " + std::to_string(bytes) +
+                             " bytes of anonymous memory");
+    }
+    const auto lo = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t start = (lo + kHugePage - 1) & ~(kHugePage - 1);
+    if (start > lo) ::munmap(raw, start - lo);
+    if (lo + span > start + len) {
+      ::munmap(reinterpret_cast<void*>(start + len), lo + span - start - len);
+    }
+    out->addr_ = reinterpret_cast<void*>(start);
+#ifdef MADV_HUGEPAGE
+    ::madvise(out->addr_, len, MADV_HUGEPAGE);  // a hint: failure is harmless
+#endif
+  }
+  out->size_ = bytes;
+  out->mapped_ = true;
+  return Status::OK();
+}
+
 void MappedFile::Close() {
   if (addr_ != nullptr) ::munmap(addr_, size_);
   addr_ = nullptr;
@@ -65,6 +99,12 @@ Status MappedFile::Open(const std::string& path, MappedFile* out) {
   return Status::NotSupported("mmap unavailable on this platform; open the "
                               "bundle with BundleOpenMode::kRead instead (" +
                               path + ")");
+}
+
+Status MappedFile::Anonymous(std::size_t bytes, MappedFile* out) {
+  (void)out;
+  return Status::NotSupported("mmap unavailable on this platform (" +
+                              std::to_string(bytes) + " bytes)");
 }
 
 void MappedFile::Close() {

@@ -8,13 +8,15 @@
 
 namespace abcs {
 
-/// \brief Read-only memory mapping of a whole file (POSIX mmap).
+/// \brief Read-only memory mapping of a whole file (POSIX mmap), or a
+/// writable anonymous one (`Anonymous`).
 ///
 /// The index bundle opener maps the file once and hands out borrowed
 /// `ArenaStorage` spans into the mapping, so opening an index is O(1)
-/// copies: pages fault in lazily as queries touch them. Movable so it can
-/// be stored inside the (heap-allocated) `IndexBundle`; the mapping's
-/// address is stable across moves, only the handle transfers.
+/// copies: pages fault in lazily as queries touch them. It decodes
+/// compressed sections into one anonymous mapping. Movable so it can be
+/// stored inside the (heap-allocated) `IndexBundle`; the mapping's address
+/// is stable across moves, only the handle transfers.
 ///
 /// On platforms without mmap the build falls back to `ReadWholeFile`
 /// (one owned buffer, same span wiring) — the bundle opener selects the
@@ -33,12 +35,23 @@ class MappedFile {
   /// opened or mapped (an empty file maps to a valid zero-length mapping).
   static Status Open(const std::string& path, MappedFile* out);
 
+  /// Maps `bytes` of zero-filled, writable anonymous memory whose start is
+  /// 2 MiB-aligned and hinted for transparent huge pages where the
+  /// platform has them, so a large arena written once faults in a few
+  /// hundred huge pages instead of tens of thousands of 4 KiB ones. The
+  /// kernel supplies the zeroes; nothing is written here. Fails with
+  /// IOError when the memory cannot be mapped.
+  static Status Anonymous(std::size_t bytes, MappedFile* out);
+
   /// True between a successful Open and Close (an empty file yields a
   /// valid zero-length mapping).
   bool valid() const { return mapped_; }
   const std::byte* data() const {
     return static_cast<const std::byte*>(addr_);
   }
+  /// Writable view of an `Anonymous` mapping (file mappings are
+  /// read-only; writing through this pointer into one faults).
+  std::byte* mutable_data() { return static_cast<std::byte*>(addr_); }
   std::size_t size() const { return size_; }
 
   void Close();

@@ -756,6 +756,69 @@ TEST_F(CompressedBundleCorruptionTest, ImplausibleDecodedLengthIsCorruption) {
   ExpectOpenFailsNaming(Status::Code::kCorruption, name_);
 }
 
+/// Flips one byte of an encoded section so that its decoder must fail:
+/// a bit-pack lane width past 32, or a delta-varint stream whose last byte
+/// now announces a continuation. Returns the decoder's message.
+std::string BreakEncodedStream(std::string* bytes, const SectionLoc& loc) {
+  if (loc.codec == 2) {
+    (*bytes)[loc.offset] ^= static_cast<char>(0x80);
+    return "bit-pack lane width exceeds 32 bits";
+  }
+  (*bytes)[loc.offset + loc.stored_length - 1] ^= static_cast<char>(0x80);
+  return "varint overruns the encoded payload";
+}
+
+TEST_F(CompressedBundleCorruptionTest, FirstBadSectionInOpenOrderIsReported) {
+  // Two encoded sections break at once, g.arcs early in open order and
+  // id.b.entries (one of the largest, so decoded first) late. However the
+  // parallel pass schedules them, every open must name g.arcs with the
+  // message a section-by-section open gives.
+  const SectionLoc arcs = FindSection(bytes_, "g.arcs");
+  const SectionLoc entries = FindSection(bytes_, "id.b.entries");
+  ASSERT_TRUE(arcs.found && entries.found);
+  ASSERT_NE(arcs.codec, 0u) << "fixture g.arcs stayed raw";
+  ASSERT_NE(entries.codec, 0u) << "fixture id.b.entries stayed raw";
+  const std::string pristine = bytes_;
+  for (const bool resign : {false, true}) {
+    SCOPED_TRACE(resign ? "both re-signed" : "neither re-signed");
+    bytes_ = pristine;
+    const std::string arcs_error = BreakEncodedStream(&bytes_, arcs);
+    BreakEncodedStream(&bytes_, entries);
+    if (resign) {
+      ResignSection(&bytes_, "g.arcs");
+      ResignSection(&bytes_, "id.b.entries");
+    }
+    WriteFileBytes(path_, bytes_);
+    const std::string codec = arcs.codec == 2 ? "bit-pack" : "delta-varint";
+    const std::string want =
+        resign ? path_ + ": section g.arcs (" + codec + "): " + arcs_error
+               : path_ + ": checksum mismatch in section g.arcs";
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      std::unique_ptr<IndexBundle> bundle;
+      const Status st = OpenIndexBundle(path_, &bundle);
+      ASSERT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+      ASSERT_EQ(st.message(), want) << "attempt " << attempt;
+      ASSERT_EQ(bundle, nullptr);
+    }
+  }
+}
+
+TEST_F(CompressedBundleCorruptionTest, PartialElementLengthIsCorruption) {
+  // id.a.entries holds 12-byte (3-lane) elements. A decoded length grown
+  // by 4 bytes is a whole number of u32s but not of elements: the open
+  // must report exactly that, never decode it under another lane count.
+  const SectionLoc entries = FindSection(bytes_, "id.a.entries");
+  ASSERT_TRUE(entries.found);
+  ASSERT_NE(entries.codec, 0u) << "fixture entries section stayed raw";
+  const uint64_t grown = entries.decoded_length + 4;
+  std::memcpy(bytes_.data() + entries.record_off + 32, &grown, 8);
+  FixMetaChecksum(&bytes_);
+  WriteFileBytes(path_, bytes_);
+  ExpectOpenFailsNaming(Status::Code::kCorruption,
+                        "section id.a.entries is not a whole number of "
+                        "elements");
+}
+
 // A re-signed entry that points a level-τ list at a vertex which does not
 // own level τ must be rejected: the query BFS reads the target's level-τ
 // slice unchecked, trusting exactly this invariant.
@@ -804,6 +867,130 @@ TEST(BundleCraftedEntryTest, EntryTargetWithoutLevelIsCorruption) {
   EXPECT_EQ(OpenIndexBundle(path, &bundle).code(),
             Status::Code::kCorruption);
   std::remove(path.c_str());
+}
+
+// --- element-range checks on the unverified open --------------------
+// Every crafted bundle below is *not* re-signed and is opened with
+// verify_checksums=false, so no checksum can catch it: only the element
+// range checks, which run on every open, stand between the bad id and a
+// query that follows it.
+
+class BundleCraftedEntryUnverifiedTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/abcs_bundle_unverified_craft.abcs";
+    // Figure 2: vertices with ≥ 2 levels and vertices with exactly 1.
+    const BipartiteGraph g = testing::PaperFigure2Graph(20);
+    const BicoreDecomposition decomp = ComputeBicoreDecomposition(g);
+    const DeltaIndex delta = DeltaIndex::Build(g, &decomp);
+    const BicoreIndex bicore = BicoreIndex::Build(g, &decomp);
+    ASSERT_TRUE(SaveIndexBundle(g, decomp, delta, bicore, path_).ok());
+    bytes_ = ReadFileBytes(path_);
+    num_upper_ = ReadU32(bytes_, 16);
+    n_ = num_upper_ + ReadU32(bytes_, 20);
+    m_ = ReadU32(bytes_, 24);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Byte offset of the first id.a.entries element a level list
+  /// references, in the list of a vertex owning at least `min_levels`.
+  std::size_t ReferencedEntry(uint32_t min_levels, uint32_t tau) const {
+    const SectionLoc tbase = FindSection(bytes_, "id.a.tbase");
+    const SectionLoc lstart = FindSection(bytes_, "id.a.lstart");
+    const SectionLoc entries = FindSection(bytes_, "id.a.entries");
+    EXPECT_TRUE(tbase.found && lstart.found && entries.found);
+    for (uint32_t v = 0; v < n_; ++v) {
+      const uint32_t tb = ReadU32(bytes_, tbase.offset + std::size_t{v} * 4);
+      const uint32_t levels =
+          ReadU32(bytes_, tbase.offset + std::size_t{v + 1} * 4) - tb - 1;
+      const std::size_t slot = lstart.offset + std::size_t{tb + tau - 1} * 4;
+      const uint32_t lo = ReadU32(bytes_, slot);
+      if (levels >= min_levels && ReadU32(bytes_, slot + 4) > lo) {
+        return entries.offset + std::size_t{lo} * 12;  // {to, eid, offset}
+      }
+    }
+    ADD_FAILURE() << "fixture has no vertex with " << min_levels
+                  << " levels and a non-empty level-" << tau << " list";
+    return entries.offset;
+  }
+
+  /// A vertex that does not own level 2.
+  uint32_t VertexWithoutLevel2() const {
+    const SectionLoc tbase = FindSection(bytes_, "id.a.tbase");
+    for (uint32_t v = 0; v < n_; ++v) {
+      if (ReadU32(bytes_, tbase.offset + std::size_t{v + 1} * 4) -
+              ReadU32(bytes_, tbase.offset + std::size_t{v} * 4) - 1 <
+          2) {
+        return v;
+      }
+    }
+    ADD_FAILURE() << "fixture has no vertex without level 2";
+    return 0;
+  }
+
+  /// Writes `value` at `offset`, saves, and expects the unverified open
+  /// (both modes) to fail with Corruption whose message contains `what`.
+  void ExpectUnverifiedOpenFails(std::size_t offset, uint32_t value,
+                                 const std::string& what) {
+    std::string crafted = bytes_;
+    WriteU32(&crafted, offset, value);
+    WriteFileBytes(path_, crafted);
+    for (const BundleOpenMode mode :
+         {BundleOpenMode::kRead, BundleOpenMode::kMmap}) {
+      std::unique_ptr<IndexBundle> bundle;
+      BundleOpenOptions options;
+      options.mode = mode;
+      options.verify_checksums = false;
+      const Status st = OpenIndexBundle(path_, &bundle, options);
+      EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+      EXPECT_NE(st.message().find(what), std::string::npos) << st.ToString();
+      EXPECT_EQ(bundle, nullptr);
+    }
+  }
+
+  std::string path_;
+  std::string bytes_;
+  uint32_t num_upper_ = 0, n_ = 0, m_ = 0;
+};
+
+TEST_F(BundleCraftedEntryUnverifiedTest, ArcEndpointOutOfRangeIsCorruption) {
+  const SectionLoc arcs = FindSection(bytes_, "g.arcs");  // {to, eid}
+  ASSERT_TRUE(arcs.found);
+  ExpectUnverifiedOpenFails(arcs.offset, n_, "arc endpoint out of range");
+  ExpectUnverifiedOpenFails(arcs.offset + 4, m_, "arc endpoint out of range");
+}
+
+TEST_F(BundleCraftedEntryUnverifiedTest, EdgeEndpointOutOfRangeIsCorruption) {
+  const SectionLoc edges = FindSection(bytes_, "g.edges");  // {u, v, w}
+  ASSERT_TRUE(edges.found);
+  ExpectUnverifiedOpenFails(edges.offset, num_upper_,
+                            "edge endpoint out of range");
+  ExpectUnverifiedOpenFails(edges.offset + 4, n_,
+                            "edge endpoint out of range");
+}
+
+TEST_F(BundleCraftedEntryUnverifiedTest, DeltaEntryOutOfRangeIsCorruption) {
+  const std::size_t entry = ReferencedEntry(1, 1);
+  ExpectUnverifiedOpenFails(entry, n_,
+                            "id.a.entries references a vertex or edge out "
+                            "of range");
+  ExpectUnverifiedOpenFails(entry + 4, m_,
+                            "id.a.entries references a vertex or edge out "
+                            "of range");
+}
+
+TEST_F(BundleCraftedEntryUnverifiedTest, DeltaEntryLevelMismatchIsCorruption) {
+  ExpectUnverifiedOpenFails(ReferencedEntry(2, 2), VertexWithoutLevel2(),
+                            "id.a.entries references a vertex without that "
+                            "level");
+}
+
+TEST_F(BundleCraftedEntryUnverifiedTest, BicoreEntryOutOfRangeIsCorruption) {
+  const SectionLoc entries = FindSection(bytes_, "iv.a.entries");  // {v, off}
+  ASSERT_TRUE(entries.found);
+  ASSERT_GE(entries.stored_length, 8u);
+  ExpectUnverifiedOpenFails(entries.offset, n_,
+                            "iv.a.entries references a vertex out of range");
 }
 
 }  // namespace
