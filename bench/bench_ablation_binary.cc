@@ -10,8 +10,7 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/delta_index.h"
-#include "core/scs_binary.h"
-#include "core/scs_expand.h"
+#include "core/scs_auto.h"
 #include "graph/weights.h"
 
 int main() {
@@ -67,12 +66,13 @@ int main() {
       const abcs::Subgraph c = index.QueryCommunity(q, t, t);
       abcs::Timer timer;
       const abcs::ScsResult re =
-          abcs::ScsExpand(variant.graph, c, q, t, t, {}, nullptr, &scratch,
-                          &ws);
+          abcs::ScsQuery(variant.graph, c, q, t, t, abcs::ScsAlgo::kExpand,
+                         {}, nullptr, &scratch, &ws);
       expand_s += timer.Seconds();
       timer.Reset();
-      const abcs::ScsResult rb = abcs::ScsBinary(variant.graph, c, q, t, t,
-                                                 &binary_stats, &scratch, &ws);
+      const abcs::ScsResult rb =
+          abcs::ScsQuery(variant.graph, c, q, t, t, abcs::ScsAlgo::kBinary,
+                         {}, &binary_stats, &scratch, &ws);
       binary_s += timer.Seconds();
       if (re.found != rb.found ||
           (re.found && re.significance != rb.significance)) {

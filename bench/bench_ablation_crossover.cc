@@ -11,8 +11,6 @@
 #include "common/timer.h"
 #include "core/delta_index.h"
 #include "core/scs_auto.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
 #include "graph/graph_builder.h"
 
 namespace {
@@ -69,11 +67,13 @@ int main() {
     for (uint32_t rep = 0; rep < reps; ++rep) {
       abcs::Timer timer;
       const abcs::ScsResult rp =
-          abcs::ScsPeel(g, c, q, 5, 5, nullptr, &scratch, &ws);
+          abcs::ScsQuery(g, c, q, 5, 5, abcs::ScsAlgo::kPeel, {}, nullptr,
+                         &scratch, &ws);
       peel_s += timer.Seconds();
       timer.Reset();
       const abcs::ScsResult re =
-          abcs::ScsExpand(g, c, q, 5, 5, {}, nullptr, &scratch, &ws);
+          abcs::ScsQuery(g, c, q, 5, 5, abcs::ScsAlgo::kExpand, {}, nullptr,
+                         &scratch, &ws);
       expand_s += timer.Seconds();
       timer.Reset();
       const abcs::ScsResult ra = abcs::ScsQuery(

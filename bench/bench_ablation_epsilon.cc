@@ -7,7 +7,7 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/delta_index.h"
-#include "core/scs_expand.h"
+#include "core/scs_auto.h"
 
 int main() {
   const uint32_t queries = abcs::bench::NumQueries();
@@ -36,8 +36,8 @@ int main() {
       for (abcs::VertexId q : qs) {
         const abcs::Subgraph c = index.QueryCommunity(q, t, t);
         abcs::Timer timer;
-        (void)abcs::ScsExpand(ds.graph, c, q, t, t, options, &stats, &scratch,
-                              &ws);
+        (void)abcs::ScsQuery(ds.graph, c, q, t, t, abcs::ScsAlgo::kExpand,
+                             options, &stats, &scratch, &ws);
         total_s += timer.Seconds();
       }
       const double n = qs.empty() ? 1.0 : static_cast<double>(qs.size());

@@ -8,9 +8,7 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/delta_index.h"
-#include "core/scs_baseline.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 
 int main() {
   const uint32_t queries = abcs::bench::NumQueries();
@@ -40,12 +38,14 @@ int main() {
 
       timer.Reset();
       const abcs::Subgraph c1 = index.QueryCommunity(q, t, t);
-      const abcs::ScsResult rp = abcs::ScsPeel(ds.graph, c1, q, t, t);
+      const abcs::ScsResult rp =
+          abcs::ScsQuery(ds.graph, c1, q, t, t, abcs::ScsAlgo::kPeel);
       peel_s.push_back(timer.Seconds());
 
       timer.Reset();
       const abcs::Subgraph c2 = index.QueryCommunity(q, t, t);
-      const abcs::ScsResult re = abcs::ScsExpand(ds.graph, c2, q, t, t);
+      const abcs::ScsResult re =
+          abcs::ScsQuery(ds.graph, c2, q, t, t, abcs::ScsAlgo::kExpand);
       expand_s.push_back(timer.Seconds());
 
       if (rb.significance != rp.significance ||

@@ -9,9 +9,7 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/delta_index.h"
-#include "core/scs_baseline.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 
 namespace {
 
@@ -48,11 +46,12 @@ void RunSeries(const abcs::bench::PreparedDataset& ds, const char* label,
       base_s += timer.Seconds();
       timer.Reset();
       const abcs::Subgraph c1 = index.QueryCommunity(q, alpha, beta);
-      (void)abcs::ScsPeel(ds.graph, c1, q, alpha, beta);
+      (void)abcs::ScsQuery(ds.graph, c1, q, alpha, beta, abcs::ScsAlgo::kPeel);
       peel_s += timer.Seconds();
       timer.Reset();
       const abcs::Subgraph c2 = index.QueryCommunity(q, alpha, beta);
-      (void)abcs::ScsExpand(ds.graph, c2, q, alpha, beta);
+      (void)abcs::ScsQuery(ds.graph, c2, q, alpha, beta,
+                           abcs::ScsAlgo::kExpand);
       expand_s += timer.Seconds();
     }
     const double n = static_cast<double>(qs.size());

@@ -16,7 +16,7 @@
 #include "bench_common.h"
 #include "core/delta_index.h"
 #include "core/query_scratch.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/generators.h"
 #include "models/biclique.h"
 #include "models/bitruss.h"
@@ -83,7 +83,8 @@ int main() {
 
   for (uint32_t t : {45u, 50u, 55u}) {
     const abcs::Subgraph core = index.QueryCommunity(q, t, t);
-    const abcs::ScsResult sc = abcs::ScsPeel(g, core, q, t, t);
+    const abcs::ScsResult sc =
+        abcs::ScsQuery(g, core, q, t, t, abcs::ScsAlgo::kPeel);
     const abcs::Subgraph bitruss =
         abcs::QueryBitrussCommunity(g, q, static_cast<uint64_t>(t) * t);
     abcs::Subgraph biclique = abcs::QueryBicliqueCommunity(g, q, 45);

@@ -11,8 +11,7 @@
 #include "common/dsu.h"
 #include "common/rng.h"
 #include "core/delta_index.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/generators.h"
 #include "models/butterfly.h"
 
@@ -96,7 +95,8 @@ void BM_ScsPeelKernel(benchmark::State& state) {
   for (auto _ : state) {
     const abcs::VertexId q = qs[i++ % qs.size()];
     const abcs::Subgraph c = index->QueryCommunity(q, t, t);
-    benchmark::DoNotOptimize(abcs::ScsPeel(ds.graph, c, q, t, t));
+    benchmark::DoNotOptimize(
+        abcs::ScsQuery(ds.graph, c, q, t, t, abcs::ScsAlgo::kPeel));
   }
 }
 BENCHMARK(BM_ScsPeelKernel);
@@ -116,7 +116,8 @@ void BM_ScsExpandKernel(benchmark::State& state) {
   for (auto _ : state) {
     const abcs::VertexId q = qs[i++ % qs.size()];
     const abcs::Subgraph c = index->QueryCommunity(q, t, t);
-    benchmark::DoNotOptimize(abcs::ScsExpand(ds.graph, c, q, t, t));
+    benchmark::DoNotOptimize(
+        abcs::ScsQuery(ds.graph, c, q, t, t, abcs::ScsAlgo::kExpand));
   }
 }
 BENCHMARK(BM_ScsExpandKernel);

@@ -216,11 +216,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"dataset\": \"%s\",\n  \"num_vertices\": %u,\n"
-               "  \"num_edges\": %u,\n  \"delta\": %u,\n"
-               "  \"num_queries\": %u,\n  \"results\": [\n",
-               dataset.c_str(), ds.graph.NumVertices(), ds.graph.NumEdges(),
-               ds.delta(), num_queries);
+               "{\n  \"machine\": %s,\n  \"dataset\": \"%s\",\n"
+               "  \"num_vertices\": %u,\n  \"num_edges\": %u,\n"
+               "  \"delta\": %u,\n  \"num_queries\": %u,\n"
+               "  \"results\": [\n",
+               abcs::bench::MachineJson().c_str(), dataset.c_str(),
+               ds.graph.NumVertices(), ds.graph.NumEdges(), ds.delta(),
+               num_queries);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(f,

@@ -6,7 +6,7 @@
 
 #include "bench_common.h"
 #include "core/delta_index.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/generators.h"
 #include "models/biclique.h"
 #include "models/bitruss.h"
@@ -32,7 +32,8 @@ int main() {
 
   const abcs::DeltaIndex index = abcs::DeltaIndex::Build(g);
   const abcs::Subgraph core = index.QueryCommunity(q, t, t);
-  const abcs::ScsResult sc = abcs::ScsPeel(g, core, q, t, t);
+  const abcs::ScsResult sc =
+      abcs::ScsQuery(g, core, q, t, t, abcs::ScsAlgo::kPeel);
   const abcs::Subgraph bitruss =
       abcs::QueryBitrussCommunity(g, q, static_cast<uint64_t>(t) * t);
   abcs::Subgraph biclique = abcs::QueryBicliqueCommunity(g, q, 45);

@@ -8,9 +8,7 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/delta_index.h"
-#include "core/scs_baseline.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/weights.h"
 
 int main() {
@@ -43,11 +41,11 @@ int main() {
       baseline_s[mi] += timer.Seconds();
       timer.Reset();
       const abcs::Subgraph c1 = index.QueryCommunity(q, t, t);
-      (void)abcs::ScsPeel(g, c1, q, t, t);
+      (void)abcs::ScsQuery(g, c1, q, t, t, abcs::ScsAlgo::kPeel);
       peel_s[mi] += timer.Seconds();
       timer.Reset();
       const abcs::Subgraph c2 = index.QueryCommunity(q, t, t);
-      (void)abcs::ScsExpand(g, c2, q, t, t);
+      (void)abcs::ScsQuery(g, c2, q, t, t, abcs::ScsAlgo::kExpand);
       expand_s[mi] += timer.Seconds();
     }
   }

@@ -193,10 +193,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"dataset\": \"%s\",\n  \"num_edges\": %u,\n"
-               "  \"delta\": %u,\n  \"commits_per_config\": %u,\n"
-               "  \"results\": [\n",
-               dataset.c_str(), ds.graph.NumEdges(), ds.delta(), commits);
+               "{\n  \"machine\": %s,\n  \"dataset\": \"%s\",\n"
+               "  \"num_edges\": %u,\n  \"delta\": %u,\n"
+               "  \"commits_per_config\": %u,\n  \"results\": [\n",
+               abcs::bench::MachineJson().c_str(), dataset.c_str(),
+               ds.graph.NumEdges(), ds.delta(), commits);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,

@@ -10,7 +10,7 @@
 
 #include "common/rng.h"
 #include "core/delta_index.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/graph_builder.h"
 
 int main() {
@@ -56,7 +56,8 @@ int main() {
   const abcs::Subgraph community =
       index.QueryCommunity(suspicious_item, alpha, beta);
   const abcs::ScsResult ring =
-      abcs::ScsPeel(g, community, suspicious_item, alpha, beta);
+      abcs::ScsQuery(g, community, suspicious_item, alpha, beta,
+                     abcs::ScsAlgo::kPeel);
   if (!ring.found) {
     std::printf("no dense community around the flagged item\n");
     return 0;

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/delta_index.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/graph_builder.h"
 
 namespace {
@@ -69,7 +69,8 @@ int main() {
   PrintCommunity(g, users, movies, community, "(3,2)-community of Eric");
 
   // Step 2: maximise significance within it.
-  const abcs::ScsResult sc = abcs::ScsPeel(g, community, eric, 3, 2);
+  const abcs::ScsResult sc =
+      abcs::ScsQuery(g, community, eric, 3, 2, abcs::ScsAlgo::kPeel);
   std::printf("\nsignificance f(R) = %.1f\n", sc.significance);
   PrintCommunity(g, users, movies, sc.community,
                  "significant (3,2)-community of Eric");

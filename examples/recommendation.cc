@@ -11,7 +11,7 @@
 #include <set>
 
 #include "core/delta_index.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/generators.h"
 #include "models/metrics.h"
 
@@ -46,7 +46,8 @@ int main() {
   const abcs::DeltaIndex index = abcs::DeltaIndex::Build(g);
   const uint32_t t = 25;  // α = β = 25: engaged users, popular movies
   const abcs::Subgraph community = index.QueryCommunity(q, t, t);
-  const abcs::ScsResult sc = abcs::ScsPeel(g, community, q, t, t);
+  const abcs::ScsResult sc =
+      abcs::ScsQuery(g, community, q, t, t, abcs::ScsAlgo::kPeel);
   if (!sc.found) {
     std::fprintf(stderr, "no significant community at t=%u\n", t);
     return 1;

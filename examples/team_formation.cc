@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "core/delta_index.h"
-#include "core/scs_expand.h"
+#include "core/scs_auto.h"
 #include "graph/graph_builder.h"
 
 int main() {
@@ -69,7 +69,7 @@ int main() {
               alpha, beta, community.Size());
 
   const abcs::ScsResult team =
-      abcs::ScsExpand(g, community, lead, alpha, beta);
+      abcs::ScsQuery(g, community, lead, alpha, beta, abcs::ScsAlgo::kExpand);
   if (!team.found) {
     std::printf("no qualifying team\n");
     return 0;

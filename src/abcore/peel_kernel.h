@@ -13,12 +13,14 @@
 
 namespace abcs {
 
-/// \brief The shared peeling kernels. Every peel loop in the library —
-/// (α,β)-core peels, offset/level decompositions, k-core numbers, scoped
-/// index maintenance, and the weight-filtered SCS peels — is one of the two
+/// \brief The shared vertex-peeling kernels. The (α,β)-core peels,
+/// offset/level decompositions, k-core numbers, scoped index maintenance
+/// and the SCS brute-force oracle's weight-filtered peel are the two
 /// shapes below, parameterised over an adjacency functor so the same code
-/// runs on `BipartiteGraph` CSR arcs, the maintenance adjacency lists and
-/// the SCS `LocalGraph` (with caller-side edge-alive bookkeeping).
+/// runs on `BipartiteGraph` CSR arcs and the maintenance adjacency lists.
+/// The SCS kernels are not: they kill and restore *edges* of a weight-rank
+/// `LocalGraph` under an undo journal, through `RankPeel`
+/// (src/core/rank_peel.h).
 ///
 /// `for_each(v, visit)` must call `visit(w)` once for every *countable*
 /// neighbour `w` of `v` — the functor owns any filtering (scope, edge

@@ -28,8 +28,8 @@ namespace abcs {
 ///    replaces the per-query `std::deque` (each vertex enters the queue at
 ///    most once, so the buffer never wraps and its capacity is bounded by
 ///    the largest community seen).
-///  - *Named buffer slots.* Peeling-style callers (online query,
-///    `PeelToSignificant`) borrow `uint32_t`/`uint8_t` vectors that keep
+///  - *Named buffer slots.* Peeling-style callers (online query, the
+///    SCS `RankPeel`) borrow `uint32_t`/`uint8_t` vectors that keep
 ///    their capacity across queries.
 ///
 /// After warm-up (the first query at a given graph size), steady-state
@@ -44,9 +44,8 @@ class QueryScratch {
   enum U32Slot : std::size_t {
     kSlotDeg = 0,    ///< per-vertex degrees
     kSlotQueue,      ///< peel work queue
-    kSlotBatch,      ///< batch-removed edge positions
     kSlotStack,      ///< DFS stack for component extraction
-    kSlotJournal,    ///< killed-edge undo journal (incremental SCS probes)
+    kSlotJournal,    ///< killed-edge undo journal (SCS probes and batches)
     kNumU32Slots,
   };
   enum U8Slot : std::size_t {

@@ -1,5 +1,8 @@
 #include "core/scs_auto.h"
 
+#include <numeric>
+#include <span>
+
 #include "core/scs_binary.h"
 #include "core/scs_expand.h"
 
@@ -53,24 +56,20 @@ void ScsQueryInto(const BipartiteGraph& g, const Subgraph& community,
                   VertexId q, uint32_t alpha, uint32_t beta, ScsAlgo algo,
                   const ScsOptions& options, ScsResult* out, ScsStats* stats,
                   QueryScratch* scratch, ScsWorkspace* workspace) {
-  out->community.edges.clear();
-  out->significance = 0;
-  out->found = false;
-  if (community.Empty() || alpha == 0 || beta == 0) {
-    if (stats && algo != ScsAlgo::kAuto) stats->algo_used = algo;
-    return;
-  }
   QueryScratch local_scratch;
   QueryScratch& s = scratch ? *scratch : local_scratch;
-  if (s.CancelStopped()) return;  // budget already blown on retrieval
   ScsWorkspace local_ws;
   ScsWorkspace& ws = workspace ? *workspace : local_ws;
-  ws.lg.BuildFrom(g, community.edges);
-  if (s.CancelStopped()) return;
+  // A budget already spent on retrieval builds the empty graph, which the
+  // kernel's entry guard answers as not found.
+  std::span<const EdgeId> pool = community.edges;
+  if (s.CancelStopped()) pool = {};
+  ws.lg.BuildFrom(g, pool);
   if (algo == ScsAlgo::kAuto) algo = PlanScsAlgo(ws.lg, q, alpha, beta);
   switch (algo) {
+    case ScsAlgo::kAuto:  // resolved above
     case ScsAlgo::kPeel:
-      PeelToSignificantInto(ws.lg, q, alpha, beta, out, stats, &s);
+      PeelToSignificantInto(ws.lg, q, alpha, beta, out, stats, s);
       break;
     case ScsAlgo::kExpand:
       ScsExpandOnLocal(ws.lg, q, alpha, beta, options, out, stats, s,
@@ -79,8 +78,6 @@ void ScsQueryInto(const BipartiteGraph& g, const Subgraph& community,
     case ScsAlgo::kBinary:
       ScsBinaryOnLocal(ws.lg, q, alpha, beta, out, stats, s);
       break;
-    case ScsAlgo::kAuto:
-      break;  // resolved above
   }
 }
 
@@ -92,6 +89,20 @@ ScsResult ScsQuery(const BipartiteGraph& g, const Subgraph& community,
   ScsQueryInto(g, community, q, alpha, beta, algo, options, &result, stats,
                scratch, workspace);
   return result;
+}
+
+ScsResult ScsBaseline(const BipartiteGraph& g, VertexId q, uint32_t alpha,
+                      uint32_t beta, const ScsOptions& options,
+                      ScsStats* stats, QueryScratch* scratch,
+                      ScsWorkspace* workspace) {
+  ScsWorkspace local_ws;
+  ScsWorkspace& ws = workspace ? *workspace : local_ws;
+  if (ws.pool.edges.size() != g.NumEdges()) {
+    ws.pool.edges.resize(g.NumEdges());
+    std::iota(ws.pool.edges.begin(), ws.pool.edges.end(), 0u);
+  }
+  return ScsQuery(g, ws.pool, q, alpha, beta, ScsAlgo::kExpand, options,
+                  stats, scratch, &ws);
 }
 
 }  // namespace abcs

@@ -35,8 +35,10 @@ ScsAlgo PlanScsAlgo(const LocalGraph& lg, VertexId q, uint32_t alpha,
 /// \brief One entry point for the whole SCS layer: builds (or reuses, via
 /// `workspace`) the weight-rank LocalGraph of `community`, resolves `algo`
 /// (kAuto → PlanScsAlgo) and runs the kernel. `stats->algo_used` records
-/// the resolved kernel. The Into form reuses `out`'s capacity — with a
-/// pooled workspace and scratch the steady state allocates nothing.
+/// the resolved kernel. An empty community, α or β = 0, q outside the
+/// community, or a cancel token already stopped all answer found = false.
+/// The Into form reuses `out`'s capacity — with a pooled workspace and
+/// scratch the steady state allocates nothing.
 void ScsQueryInto(const BipartiteGraph& g, const Subgraph& community,
                   VertexId q, uint32_t alpha, uint32_t beta, ScsAlgo algo,
                   const ScsOptions& options, ScsResult* out,
@@ -48,6 +50,16 @@ ScsResult ScsQuery(const BipartiteGraph& g, const Subgraph& community,
                    const ScsOptions& options = {}, ScsStats* stats = nullptr,
                    QueryScratch* scratch = nullptr,
                    ScsWorkspace* workspace = nullptr);
+
+/// \brief SCS-Baseline (paper §V-A): `ScsQuery(kExpand)` over the *whole
+/// graph* instead of C_{α,β}(q), so the search space is q's connected
+/// component in G — the cost the two-step paradigm avoids. The whole-graph
+/// edge pool is kept in `workspace` (when supplied) across calls.
+ScsResult ScsBaseline(const BipartiteGraph& g, VertexId q, uint32_t alpha,
+                      uint32_t beta, const ScsOptions& options = {},
+                      ScsStats* stats = nullptr,
+                      QueryScratch* scratch = nullptr,
+                      ScsWorkspace* workspace = nullptr);
 
 }  // namespace abcs
 

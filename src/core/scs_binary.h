@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "core/scs_common.h"
-#include "core/subgraph.h"
-#include "graph/bipartite_graph.h"
 
 namespace abcs {
 
@@ -29,19 +27,13 @@ struct ScsProbe {
 /// set, which on duplicate-weight-heavy inputs collapses the classic
 /// O(size(C)·log W) to O(size(C)).
 ///
-/// `probe_log`, when supplied, records every (prefix_end, feasible) pair in
-/// probe order — the stress tests replay it against from-scratch peels.
+/// A short loop over `RankPeel`. `probe_log`, when supplied, records
+/// every (prefix_end, feasible) pair in probe order — the engine tests
+/// replay it against from-scratch peels.
 void ScsBinaryOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
                       uint32_t beta, ScsResult* out, ScsStats* stats,
                       QueryScratch& scratch,
                       std::vector<ScsProbe>* probe_log = nullptr);
-
-/// Convenience wrapper: builds (or reuses, via `workspace`) the weight-rank
-/// LocalGraph of `community` and runs the incremental search.
-ScsResult ScsBinary(const BipartiteGraph& g, const Subgraph& community,
-                    VertexId q, uint32_t alpha, uint32_t beta,
-                    ScsStats* stats = nullptr, QueryScratch* scratch = nullptr,
-                    ScsWorkspace* workspace = nullptr);
 
 /// From-scratch feasibility at a rank prefix: peels {ranks < prefix_end} to
 /// (α,β) with freshly built degrees. Reference for the incremental probes

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "abcore/peel_kernel.h"
+#include "core/rank_peel.h"
 
 namespace abcs {
 
@@ -314,114 +315,11 @@ void ExtractAliveComponent(const LocalGraph& lg, uint32_t lq,
 
 void PeelToSignificantInto(const LocalGraph& lg, VertexId q, uint32_t alpha,
                            uint32_t beta, ScsResult* out, ScsStats* stats,
-                           QueryScratch* scratch) {
-  out->community.edges.clear();
-  out->significance = 0;
-  out->found = false;
-  if (stats) stats->algo_used = ScsAlgo::kPeel;
-  const uint32_t lq = lg.LocalId(q);
-  if (lq == kInvalidVertex || lg.NumEdges() == 0) return;
-
-  const uint32_t n = lg.NumVertices();
-  const uint32_t m = lg.NumEdges();
-  auto threshold = [&](uint32_t x) {
-    return lg.IsUpperLocal(x) ? alpha : beta;
-  };
-
-  QueryScratch local_scratch;
-  QueryScratch& s = scratch ? *scratch : local_scratch;
-
-  std::vector<uint32_t>& deg = s.U32(QueryScratch::kSlotDeg);
-  deg.assign(n, 0);
-  for (const LocalGraph::LocalEdge& le : lg.edges()) {
-    ++deg[le.u];
-    ++deg[le.v];
-  }
-  std::vector<uint8_t>& alive = s.U8(QueryScratch::kSlotAlive);
-  alive.assign(m, 1);
-
-  std::vector<uint32_t>& cascade = s.U32(QueryScratch::kSlotQueue);
-  cascade.clear();
-  auto kill_edges_of = [&](uint32_t x, std::vector<uint32_t>* sink) {
-    for (const LocalGraph::LocalArc& a : lg.Neighbors(x)) {
-      s.CancelTick();
-      if (!alive[a.pos]) continue;
-      alive[a.pos] = 0;
-      if (sink) sink->push_back(a.pos);
-      if (stats) ++stats->edges_processed;
-      --deg[x];
-      --deg[a.to];
-      if (deg[a.to] < threshold(a.to)) cascade.push_back(a.to);
-    }
-  };
-  auto run_cascade = [&](std::vector<uint32_t>* sink) {
-    while (!cascade.empty()) {
-      uint32_t x = cascade.back();
-      cascade.pop_back();
-      if (deg[x] >= threshold(x) || deg[x] == 0) continue;
-      kill_edges_of(x, sink);
-    }
-  };
-
-  // Stabilise the input: peel vertices below threshold (no restore — these
-  // edges belong to no candidate community). One from-scratch validation.
-  for (uint32_t x = 0; x < n; ++x) {
-    if (deg[x] < threshold(x)) cascade.push_back(x);
-  }
-  run_cascade(nullptr);
-  if (stats) ++stats->validations;
-  if (s.CancelStopped()) return;  // deg/alive are re-assigned per query
-  if (deg[lq] < threshold(lq)) return;
-
-  // Remove rank batches back-to-front (minimum weight first); each batch is
-  // the contiguous rank range of one distinct weight.
-  std::vector<uint32_t>& batch_removed =
-      s.U32(QueryScratch::kSlotBatch);  // the paper's edge set S
-  for (uint32_t di = lg.NumDistinctWeights(); di-- > 0;) {
-    if (s.CancelStopped()) return;  // abandon: answer not found
-    const Weight wmin = lg.DistinctWeight(di);
-    batch_removed.clear();
-    for (uint32_t r = lg.PrefixBegin(di); r < lg.PrefixEnd(di); ++r) {
-      // At low thresholds cascades are rare and this loop carries nearly
-      // every edge-op, so it must heartbeat too or a budgeted peel could
-      // run an entire batch sweep blind to its deadline.
-      s.CancelTick();
-      if (!alive[r]) continue;
-      const LocalGraph::LocalEdge& le = lg.edges()[r];
-      alive[r] = 0;
-      batch_removed.push_back(r);
-      if (stats) ++stats->edges_processed;
-      --deg[le.u];
-      --deg[le.v];
-      if (deg[le.u] < threshold(le.u)) cascade.push_back(le.u);
-      if (deg[le.v] < threshold(le.v)) cascade.push_back(le.v);
-    }
-    run_cascade(&batch_removed);
-
-    if (deg[lq] < threshold(lq)) {
-      // q no longer satisfies the constraint: the state at the start of
-      // this batch is the last valid graph. Restore S and extract q's
-      // connected component — that is R (Theorem 1).
-      for (uint32_t pos : batch_removed) {
-        alive[pos] = 1;
-        ++deg[lg.edges()[pos].u];
-        ++deg[lg.edges()[pos].v];
-      }
-      if (stats) stats->edges_processed += batch_removed.size();
-      ExtractAliveComponent(lg, lq, alive, wmin, s, out);
-      return;
-    }
-  }
-  // Unreachable when q survived stabilisation (removing q's last edge
-  // always violates its threshold), kept as a safe default.
-}
-
-ScsResult PeelToSignificant(const LocalGraph& lg, VertexId q, uint32_t alpha,
-                            uint32_t beta, ScsStats* stats,
-                            QueryScratch* scratch) {
-  ScsResult result;
-  PeelToSignificantInto(lg, q, alpha, beta, &result, stats, scratch);
-  return result;
+                           QueryScratch& scratch) {
+  RankPeel peel(lg, q, alpha, beta, scratch, stats);
+  if (!peel.Begin(ScsAlgo::kPeel, out) || !peel.StabiliseAll()) return;
+  const auto all_ranks = [](uint32_t) { return true; };
+  peel.DescendFrom(lg.NumDistinctWeights() - 1, all_ranks, out);
 }
 
 ScsResult ScsBruteForce(const BipartiteGraph& g, VertexId q, uint32_t alpha,

@@ -192,39 +192,30 @@ struct ScsExpandAux {
 
 /// \brief Pooled per-thread working set for the SCS layer: one LocalGraph
 /// whose buffers are reused across queries (and profile grid cells), plus
-/// the expand kernel's component state and a whole-graph edge pool for
-/// baseline-style callers. Pair it with a `QueryScratch`; after warm-up the
+/// the expand kernel's component state and the whole-graph edge pool
+/// SCS-Baseline searches. Pair it with a `QueryScratch`; after warm-up the
 /// steady state of a batch performs zero heap allocations.
 ///
 /// Not thread-safe: one instance per thread (see QueryEngine::RunScsBatch).
 struct ScsWorkspace {
   LocalGraph lg;
   ScsExpandAux expand;
-  std::vector<EdgeId> pool;
+  Subgraph pool;
 };
 
-/// \brief The peeling kernel (Algorithm 4 lines 3–23, generalised): finds
-/// the significant (α,β)-community of `q` *within* the edge set of `lg`.
+/// \brief SCS-Peel (Algorithm 4 lines 3–23, generalised): finds the
+/// significant (α,β)-community of `q` *within* the edge set of `lg`.
 ///
-/// First stabilises the input (removes vertices below their degree
-/// threshold), then deletes rank batches back-to-front (minimum weight
-/// first) with cascading degree repair until `q` violates its threshold;
-/// the state at the start of the violating batch, restricted to q's
-/// connected component, is R (Theorem 1). Returns found = false when `q`
-/// is not in any valid subgraph of `lg`. The edge order comes from the
-/// weight-rank LocalGraph — nothing is re-sorted here.
-///
-/// The per-candidate working state lives in `scratch` when one is supplied
-/// (capacity reused across candidates); otherwise a local arena is used.
-/// `PeelToSignificantInto` reuses `out`'s capacity (zero steady-state
-/// allocations); the by-value overload is a convenience wrapper.
+/// Stabilises the input (removes vertices below their degree threshold),
+/// then deletes rank batches back-to-front (minimum weight first) with
+/// cascading degree repair until `q` violates its threshold; the state at
+/// the start of the violating batch, restricted to q's connected
+/// component, is R (Theorem 1). found = false when `q` is not in any valid
+/// subgraph of `lg`. A short loop over `RankPeel`; reuses `out`'s
+/// capacity.
 void PeelToSignificantInto(const LocalGraph& lg, VertexId q, uint32_t alpha,
-                           uint32_t beta, ScsResult* out,
-                           ScsStats* stats = nullptr,
-                           QueryScratch* scratch = nullptr);
-ScsResult PeelToSignificant(const LocalGraph& lg, VertexId q, uint32_t alpha,
-                            uint32_t beta, ScsStats* stats = nullptr,
-                            QueryScratch* scratch = nullptr);
+                           uint32_t beta, ScsResult* out, ScsStats* stats,
+                           QueryScratch& scratch);
 
 /// Shared extraction step: DFS over `alive` edges from local vertex `lq`,
 /// collecting q's connected component into `out->community` and its minimum

@@ -1,119 +1,50 @@
 #include "core/scs_expand.h"
 
-#include <algorithm>
+#include "core/rank_peel.h"
 
 namespace abcs {
 
 void ScsExpandOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
                       uint32_t beta, const ScsOptions& options, ScsResult* out,
                       ScsStats* stats, QueryScratch& s, ScsExpandAux& aux) {
-  out->community.edges.clear();
-  out->significance = 0;
-  out->found = false;
-  if (stats) stats->algo_used = ScsAlgo::kExpand;
-  if (alpha == 0 || beta == 0) return;
-  const uint32_t lq = lg.LocalId(q);
-  if (lq == kInvalidVertex || lg.NumEdges() == 0) return;
-
+  RankPeel peel(lg, q, alpha, beta, s, stats);
+  if (!peel.Begin(ScsAlgo::kExpand, out)) return;
   const uint32_t n = lg.NumVertices();
-  const uint32_t m = lg.NumEdges();
-  auto threshold = [&](uint32_t x) {
-    return lg.IsUpperLocal(x) ? alpha : beta;
-  };
-
-  std::vector<uint32_t>& deg = s.U32(QueryScratch::kSlotDeg);
-  std::vector<uint8_t>& alive = s.U8(QueryScratch::kSlotAlive);
-  std::vector<uint32_t>& cascade = s.U32(QueryScratch::kSlotQueue);
-  std::vector<uint32_t>& journal = s.U32(QueryScratch::kSlotJournal);
-  std::vector<uint32_t>& batch_removed = s.U32(QueryScratch::kSlotBatch);
-  deg.assign(n, 0);
-  alive.assign(m, 0);
+  const uint32_t lq = peel.lq();
+  peel.ResetNoneAlive();
   aux.dsu.Assign(n);
   aux.agg.assign(n, ScsComponentAgg{});
 
-  auto kill = [&](uint32_t r, std::vector<uint32_t>* sink) {
-    s.CancelTick();
-    const LocalGraph::LocalEdge& le = lg.edges()[r];
-    alive[r] = 0;
-    sink->push_back(r);
-    if (stats) ++stats->edges_processed;
-    --deg[le.u];
-    --deg[le.v];
-    if (deg[le.u] < threshold(le.u)) cascade.push_back(le.u);
-    if (deg[le.v] < threshold(le.v)) cascade.push_back(le.v);
-  };
-  auto run_cascade = [&](std::vector<uint32_t>* sink) {
-    while (!cascade.empty()) {
-      const uint32_t x = cascade.back();
-      cascade.pop_back();
-      if (deg[x] >= threshold(x) || deg[x] == 0) continue;
-      for (const LocalGraph::LocalArc& a : lg.Neighbors(x)) {
-        if (alive[a.pos]) kill(a.pos, sink);
-      }
-    }
-  };
-  auto restore = [&](const std::vector<uint32_t>& killed) {
-    for (auto it = killed.rbegin(); it != killed.rend(); ++it) {
-      const LocalGraph::LocalEdge& le = lg.edges()[*it];
-      alive[*it] = 1;
-      ++deg[le.u];
-      ++deg[le.v];
-    }
-    if (stats) stats->edges_processed += killed.size();
-  };
-
   // Validation, seeded from the expansion state: the degrees of everything
-  // added so far are already in `deg`, so stabilising q's component is just
-  // cascading its below-threshold vertices — with every kill journaled so
-  // an infeasible round restores the exact expansion state. DSU roots
-  // restrict the seeds (and therefore the whole cascade) to q's component;
-  // other components' edges never interact with it. Finding the seeds is
-  // one O(n) filtered scan per validation — a deliberate trade: the
-  // ε-schedule bounds validations to O(log size(C)), and keeping per-root
-  // member lists to avoid the scan is exactly the small-to-large vector
-  // merging this rework removed.
+  // added so far are already in the peel state, so stabilising q's
+  // component is just cascading its below-threshold vertices — with every
+  // kill journaled so an infeasible round restores the exact expansion
+  // state. DSU roots restrict the seeds (and therefore the whole cascade)
+  // to q's component; other components' edges never interact with it.
+  // Finding the seeds is one O(n) filtered scan per validation — a
+  // deliberate trade: the ε-schedule bounds validations to O(log size(C)),
+  // and keeping per-root member lists to avoid the scan is exactly the
+  // small-to-large vector merging this rework removed.
   auto validate = [&](uint32_t last_di) {
     if (stats) ++stats->incremental_probes;
     const uint32_t qroot = aux.dsu.Find(lq);
-    journal.clear();
-    cascade.clear();
-    for (uint32_t x = 0; x < n; ++x) {
-      if (deg[x] > 0 && deg[x] < threshold(x) && aux.dsu.Find(x) == qroot) {
-        cascade.push_back(x);
-      }
-    }
-    run_cascade(&journal);
-    if (deg[lq] < threshold(lq)) {
-      restore(journal);
+    auto in_q_component = [&](uint32_t x) { return aux.dsu.Find(x) == qroot; };
+    peel.ClearJournal();
+    peel.SeedBelowThreshold(in_q_component);
+    peel.RunCascade(/*journal=*/true);
+    if (peel.QViolates()) {
+      peel.Restore();
       return false;
     }
-    // q's component is stable: peel minimum-weight batches down from here
-    // until q violates; the state at the start of the violating batch,
-    // restricted to q's component, is R (Theorem 1). Kills stay inside q's
+    // q's component is stable: descend from here. Kills stay inside q's
     // component (DSU roots only coarsen during expansion, never split, so
-    // the filter is a sound superset test).
-    for (uint32_t di = last_di + 1; di-- > 0;) {
-      // Cancel mid-validation: abandon with found=false. The expansion
-      // state is torn past repair-worthiness (several committed batch
-      // peels deep), but every structure here is per-query scratch that
-      // the next query re-`assign`s, so no restore is owed — the caller
-      // must check CancelStopped() before trusting the expansion state.
-      if (s.CancelStopped()) return false;
-      const Weight wmin = lg.DistinctWeight(di);
-      batch_removed.clear();
-      for (uint32_t r = lg.PrefixBegin(di); r < lg.PrefixEnd(di); ++r) {
-        if (!alive[r]) continue;
-        if (aux.dsu.Find(lg.edges()[r].u) != qroot) continue;
-        kill(r, &batch_removed);
-      }
-      run_cascade(&batch_removed);
-      if (deg[lq] < threshold(lq)) {
-        restore(batch_removed);
-        ExtractAliveComponent(lg, lq, alive, wmin, s, out);
-        return true;
-      }
-    }
-    return false;  // unreachable: q dies at latest with its last edge
+    // the filter is a sound superset test). A cancel mid-descent leaves the
+    // expansion state torn; the caller checks CancelStopped() before
+    // expanding further.
+    auto rank_in_q_component = [&](uint32_t r) {
+      return in_q_component(lg.edges()[r].u);
+    };
+    return peel.DescendFrom(last_di, rank_in_q_component, out);
   };
 
   uint64_t last_q_edges = 0;
@@ -124,25 +55,14 @@ void ScsExpandOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
     // Add the rank batch of the next distinct weight.
     for (uint32_t r = lg.PrefixBegin(di); r < lg.PrefixEnd(di); ++r) {
       s.CancelTick();
+      peel.Insert(r);
       const LocalGraph::LocalEdge& le = lg.edges()[r];
-      alive[r] = 1;
-      if (stats) ++stats->edges_processed;
       for (uint32_t x : {le.u, le.v}) {
-        const uint32_t rx = aux.dsu.Find(x);
-        if (deg[x] == 0) {
-          if (lg.IsUpperLocal(x)) {
-            ++aux.agg[rx].num_upper;
-          } else {
-            ++aux.agg[rx].num_lower;
-          }
-        }
-        ++deg[x];
-        if (deg[x] == threshold(x)) {
-          if (lg.IsUpperLocal(x)) {
-            ++aux.agg[rx].upper_ok;
-          } else {
-            ++aux.agg[rx].lower_ok;
-          }
+        ScsComponentAgg& agg = aux.agg[aux.dsu.Find(x)];
+        const bool upper = lg.IsUpperLocal(x);
+        if (peel.Degree(x) == 1) ++(upper ? agg.num_upper : agg.num_lower);
+        if (peel.Degree(x) == peel.Threshold(x)) {
+          ++(upper ? agg.upper_ok : agg.lower_ok);
         }
       }
       const uint32_t ru = aux.dsu.Find(le.u);
@@ -161,7 +81,7 @@ void ScsExpandOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
     }
 
     // A batch of equal-weight edges was added; decide whether to validate.
-    if (deg[lq] == 0) continue;
+    if (peel.Degree(lq) == 0) continue;
     const ScsComponentAgg& a = aux.agg[aux.dsu.Find(lq)];
     if (a.edges == last_q_edges) continue;  // C* did not change
     last_q_edges = a.edges;
@@ -174,7 +94,7 @@ void ScsExpandOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
     if (lhs > rhs) continue;
     // Lemma 8: enough high-degree vertices on each side, q among them.
     if (a.lower_ok < alpha || a.upper_ok < beta) continue;
-    if (deg[lq] < threshold(lq)) continue;
+    if (peel.QViolates()) continue;
     // Geometric check schedule: validate only after ε-fold growth.
     if (static_cast<double>(a.edges) <
         static_cast<double>(pre_size) * options.epsilon) {
@@ -188,33 +108,7 @@ void ScsExpandOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
   // All edges added; force a final validation (the ε gate may have skipped
   // the last state, which equals the full pool restricted to q's
   // component).
-  if (deg[lq] > 0 && !s.CancelStopped()) validate(num_distinct - 1);
-}
-
-ScsResult ScsExpand(const BipartiteGraph& g, const Subgraph& community,
-                    VertexId q, uint32_t alpha, uint32_t beta,
-                    const ScsOptions& options, ScsStats* stats,
-                    QueryScratch* scratch, ScsWorkspace* workspace) {
-  return ExpandFromEdges(g, community.edges, q, alpha, beta, options, stats,
-                         scratch, workspace);
-}
-
-ScsResult ExpandFromEdges(const BipartiteGraph& g,
-                          const std::vector<EdgeId>& pool, VertexId q,
-                          uint32_t alpha, uint32_t beta,
-                          const ScsOptions& options, ScsStats* stats,
-                          QueryScratch* scratch, ScsWorkspace* workspace) {
-  ScsResult result;
-  if (stats) stats->algo_used = ScsAlgo::kExpand;
-  if (pool.empty() || alpha == 0 || beta == 0) return result;
-  QueryScratch local_scratch;
-  QueryScratch& s = scratch ? *scratch : local_scratch;
-  ScsWorkspace local_ws;
-  ScsWorkspace& ws = workspace ? *workspace : local_ws;
-  ws.lg.BuildFrom(g, pool);
-  ScsExpandOnLocal(ws.lg, q, alpha, beta, options, &result, stats, s,
-                   ws.expand);
-  return result;
+  if (peel.Degree(lq) > 0 && !s.CancelStopped()) validate(num_distinct - 1);
 }
 
 }  // namespace abcs

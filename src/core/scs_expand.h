@@ -1,11 +1,7 @@
 #ifndef ABCS_CORE_SCS_EXPAND_H_
 #define ABCS_CORE_SCS_EXPAND_H_
 
-#include <vector>
-
 #include "core/scs_common.h"
-#include "core/subgraph.h"
-#include "graph/bipartite_graph.h"
 
 namespace abcs {
 
@@ -24,27 +20,12 @@ namespace abcs {
 /// until q violates, which is R (Theorem 1) — no per-round LocalGraph
 /// construction, degree rebuild or edge re-sort.
 ///
-/// Faster than SCS-Peel when size(R) ≪ size(C_{α,β}(q)) (small α, β).
+/// Faster than SCS-Peel when size(R) ≪ size(C_{α,β}(q)) (small α, β). A
+/// short loop over `RankPeel`; SCS-Baseline runs it over the whole graph.
 void ScsExpandOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
                       uint32_t beta, const ScsOptions& options, ScsResult* out,
                       ScsStats* stats, QueryScratch& scratch,
                       ScsExpandAux& aux);
-
-ScsResult ScsExpand(const BipartiteGraph& g, const Subgraph& community,
-                    VertexId q, uint32_t alpha, uint32_t beta,
-                    const ScsOptions& options = {}, ScsStats* stats = nullptr,
-                    QueryScratch* scratch = nullptr,
-                    ScsWorkspace* workspace = nullptr);
-
-/// \brief The expansion engine shared by SCS-Expand and SCS-Baseline:
-/// expands over an arbitrary edge pool (the community for Expand, the whole
-/// graph for Baseline).
-ScsResult ExpandFromEdges(const BipartiteGraph& g,
-                          const std::vector<EdgeId>& pool, VertexId q,
-                          uint32_t alpha, uint32_t beta,
-                          const ScsOptions& options, ScsStats* stats = nullptr,
-                          QueryScratch* scratch = nullptr,
-                          ScsWorkspace* workspace = nullptr);
 
 }  // namespace abcs
 

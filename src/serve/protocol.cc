@@ -122,6 +122,25 @@ bool ParseWireMethod(const char* name, WireMethod* out) {
   return false;
 }
 
+WireKernels WireMethodKernels(WireMethod method) {
+  switch (method) {
+    case WireMethod::kOnline:
+      return {QueryMethod::kOnline, ScsAlgo::kAuto};
+    case WireMethod::kBicore:
+      return {QueryMethod::kBicore, ScsAlgo::kAuto};
+    case WireMethod::kDelta:
+    case WireMethod::kScsAuto:
+      return {QueryMethod::kDelta, ScsAlgo::kAuto};
+    case WireMethod::kScsPeel:
+      return {QueryMethod::kDelta, ScsAlgo::kPeel};
+    case WireMethod::kScsExpand:
+      return {QueryMethod::kDelta, ScsAlgo::kExpand};
+    case WireMethod::kScsBinary:
+      return {QueryMethod::kDelta, ScsAlgo::kBinary};
+  }
+  return {};
+}
+
 void EncodeRequest(const WireRequest& req, std::vector<std::byte>* out) {
   out->reserve(out->size() + kRequestWireBytes);
   PutU16(kRequestMagic, out);

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/query_engine.h"
+#include "core/scs_common.h"
 
 namespace abcs::serve {
 
@@ -233,6 +235,16 @@ const char* WireMethodName(WireMethod method);
 /// Parses a CLI --method spelling into a WireMethod. Returns false for
 /// unknown names.
 bool ParseWireMethod(const char* name, WireMethod* out);
+
+/// The kernels a wire method runs: the engine that retrieves C_{α,β}(q)
+/// and, for the scs-* methods, the kernel that extracts R from it (they
+/// all retrieve through I_δ). The one mapping from wire method to kernel,
+/// shared by the daemon and the CLI.
+struct WireKernels {
+  QueryMethod retrieval = QueryMethod::kDelta;
+  ScsAlgo scs = ScsAlgo::kAuto;  ///< meaningful for IsScsMethod() only
+};
+WireKernels WireMethodKernels(WireMethod method);
 
 }  // namespace abcs::serve
 

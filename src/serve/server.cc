@@ -27,19 +27,6 @@ std::string ErrnoMessage(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-ScsAlgo ScsAlgoOf(WireMethod method) {
-  switch (method) {
-    case WireMethod::kScsPeel:
-      return ScsAlgo::kPeel;
-    case WireMethod::kScsExpand:
-      return ScsAlgo::kExpand;
-    case WireMethod::kScsBinary:
-      return ScsAlgo::kBinary;
-    default:
-      return ScsAlgo::kAuto;
-  }
-}
-
 }  // namespace
 
 /// Per-connection state. The reader thread is the only producer of
@@ -573,26 +560,26 @@ void Server::Execute(const WireRequest& req, const Snapshot& snap, unsigned t,
   const BipartiteGraph& g = snap.graph();
   const VertexId q = req.lower_side ? g.NumUpper() + req.q : req.q;
   const QueryRequest qr{q, req.alpha, req.beta};
+  const WireKernels kernels = WireMethodKernels(req.method);
   // Retrieval first: the three plain methods answer with C itself, the
   // SCS methods retrieve C through I_δ exactly like `abcs query --batch
   // --method scs-*` before extracting R.
-  switch (req.method) {
-    case WireMethod::kOnline:
+  switch (kernels.retrieval) {
+    case QueryMethod::kOnline:
       snap.online_engine().Query(qr, ws.scratch, &ws.community);
       break;
-    case WireMethod::kBicore:
+    case QueryMethod::kBicore:
       snap.bicore_engine().Query(qr, ws.scratch, &ws.community);
       break;
-    default:
+    case QueryMethod::kDelta:
       snap.delta_engine().Query(qr, ws.scratch, &ws.community);
       break;
   }
   resp->num_edges = static_cast<uint32_t>(ws.community.edges.size());
   if (IsScsMethod(req.method)) {
     ScsStats stats;
-    ScsQueryInto(g, ws.community, q, req.alpha, req.beta,
-                 ScsAlgoOf(req.method), ScsOptions{}, &ws.scs, &stats,
-                 &ws.scratch, &ws.workspace);
+    ScsQueryInto(g, ws.community, q, req.alpha, req.beta, kernels.scs,
+                 ScsOptions{}, &ws.scs, &stats, &ws.scratch, &ws.workspace);
     resp->found = ws.scs.found;
     resp->result_edges = static_cast<uint32_t>(ws.scs.community.edges.size());
     resp->significance = ws.scs.significance;

@@ -10,8 +10,8 @@
 #include "abcore/peeling.h"
 #include "core/delta_index.h"
 #include "core/online_query.h"
+#include "core/scs_auto.h"
 #include "core/scs_common.h"
-#include "core/scs_peel.h"
 #include "graph/graph_io.h"
 #include "models/bitruss.h"
 #include "models/butterfly.h"
@@ -28,7 +28,7 @@ TEST(EdgeCaseTest, SingleEdgeGraph) {
   const DeltaIndex index = DeltaIndex::Build(g);
   const Subgraph c = index.QueryCommunity(0, 1, 1);
   ASSERT_EQ(c.Size(), 1u);
-  const ScsResult r = ScsPeel(g, c, 0, 1, 1);
+  const ScsResult r = ScsQuery(g, c, 0, 1, 1, ScsAlgo::kPeel);
   ASSERT_TRUE(r.found);
   EXPECT_DOUBLE_EQ(r.significance, 3.0);
   EXPECT_EQ(r.community.Size(), 1u);
@@ -80,7 +80,10 @@ TEST(EdgeCaseTest, PeelToSignificantStabilizesInvalidInput) {
   // edge must be peeled away before weight maximisation.
   BipartiteGraph g = MakeGraph({{0, 0, 5.0}, {0, 1, 9.0}, {1, 0, 1.0}});
   LocalGraph lg(g, {0, 1, 2});
-  const ScsResult r = PeelToSignificant(lg, /*q=*/0, /*alpha=*/2, /*beta=*/1);
+  QueryScratch scratch;
+  ScsResult r;
+  PeelToSignificantInto(lg, /*q=*/0, /*alpha=*/2, /*beta=*/1, &r, nullptr,
+                        scratch);
   ASSERT_TRUE(r.found);
   // u1's weak edge is gone in stabilisation; R = u0's two edges, f = 5.
   EXPECT_EQ(r.community.Size(), 2u);
@@ -160,7 +163,7 @@ TEST(EdgeCaseTest, CompleteBipartiteEverythingIsOneCommunity) {
   const Subgraph c = index.QueryCommunity(0, 5, 5);
   EXPECT_EQ(c.Size(), 25u);
   // At (5,5) every vertex is needed, so R keeps all edges and f = min w.
-  const ScsResult r = ScsPeel(g, c, 0, 5, 5);
+  const ScsResult r = ScsQuery(g, c, 0, 5, 5, ScsAlgo::kPeel);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.community.Size(), 25u);
   EXPECT_DOUBLE_EQ(r.significance, 1.0);
@@ -175,7 +178,7 @@ TEST(EdgeCaseTest, DuplicateEdgeWeightsAllBatchesAtOnce) {
   const DeltaIndex index = DeltaIndex::Build(g);
   const Subgraph c = index.QueryCommunity(0, 2, 2);
   ASSERT_EQ(c.Size(), 4u);
-  const ScsResult r = ScsPeel(g, c, 0, 2, 2);
+  const ScsResult r = ScsQuery(g, c, 0, 2, 2, ScsAlgo::kPeel);
   ASSERT_TRUE(r.found);
   EXPECT_DOUBLE_EQ(r.significance, 2.0);
   EXPECT_EQ(r.community.Size(), 4u);

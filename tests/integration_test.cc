@@ -7,8 +7,7 @@
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
 #include "core/online_query.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "models/cstar.h"
@@ -57,8 +56,8 @@ TEST(IntegrationTest, EndToEndOnSmallDataset) {
               2 * c.Size() + SubgraphVertexSet(g, c).size());
     EXPECT_GE(online_stats.touched_arcs, 2ull * g.NumEdges());
 
-    const ScsResult peel = ScsPeel(g, c, q, alpha, beta);
-    const ScsResult expand = ScsExpand(g, c, q, alpha, beta);
+    const ScsResult peel = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kPeel);
+    const ScsResult expand = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kExpand);
     ASSERT_TRUE(peel.found);
     ASSERT_TRUE(expand.found);
     EXPECT_DOUBLE_EQ(peel.significance, expand.significance);
@@ -105,7 +104,7 @@ TEST(IntegrationTest, EffectivenessPipelineQualitativeClaims) {
   const DeltaIndex index = DeltaIndex::Build(g);
   const Subgraph core_c = index.QueryCommunity(q, t, t);
   ASSERT_FALSE(core_c.Empty());
-  const ScsResult sc = ScsPeel(g, core_c, q, t, t);
+  const ScsResult sc = ScsQuery(g, core_c, q, t, t, ScsAlgo::kPeel);
   ASSERT_TRUE(sc.found);
 
   // SC has a higher minimum and average rating than the raw core.

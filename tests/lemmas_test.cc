@@ -10,7 +10,7 @@
 #include "abcore/degeneracy.h"
 #include "abcore/peeling.h"
 #include "core/delta_index.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "test_util.h"
 
 namespace abcs {
@@ -31,7 +31,7 @@ TEST(LemmaTest, Lemma1ContainmentInCommunity) {
     const uint32_t a = 1 + static_cast<uint32_t>(rng.NextBounded(4));
     const uint32_t b = 1 + static_cast<uint32_t>(rng.NextBounded(4));
     const Subgraph c = index.QueryCommunity(q, a, b);
-    const ScsResult r = ScsPeel(g, c, q, a, b);
+    const ScsResult r = ScsQuery(g, c, q, a, b, ScsAlgo::kPeel);
     if (!r.found) continue;
     std::set<EdgeId> ce(c.edges.begin(), c.edges.end());
     for (EdgeId e : r.community.edges) {
@@ -94,7 +94,7 @@ TEST(LemmaTest, Lemma7HoldsForEveryResult) {
     const uint32_t a = 1 + static_cast<uint32_t>(rng.NextBounded(5));
     const uint32_t b = 1 + static_cast<uint32_t>(rng.NextBounded(5));
     const Subgraph c = index.QueryCommunity(q, a, b);
-    const ScsResult r = ScsPeel(g, c, q, a, b);
+    const ScsResult r = ScsQuery(g, c, q, a, b, ScsAlgo::kPeel);
     if (!r.found) continue;
     const SubgraphStats stats = ComputeStats(g, r.community);
     const int64_t lhs = static_cast<int64_t>(a) * b - a - b;
@@ -118,7 +118,7 @@ TEST(LemmaTest, Lemma8DegreeCountsHoldForEveryResult) {
     const uint32_t a = 1 + static_cast<uint32_t>(rng.NextBounded(5));
     const uint32_t b = 1 + static_cast<uint32_t>(rng.NextBounded(5));
     const Subgraph c = index.QueryCommunity(q, a, b);
-    const ScsResult r = ScsPeel(g, c, q, a, b);
+    const ScsResult r = ScsQuery(g, c, q, a, b, ScsAlgo::kPeel);
     if (!r.found) continue;
     std::map<VertexId, uint32_t> deg;
     for (EdgeId e : r.community.edges) {

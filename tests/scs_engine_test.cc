@@ -14,10 +14,7 @@
 #include "core/delta_index.h"
 #include "core/query_engine.h"
 #include "core/scs_auto.h"
-#include "core/scs_baseline.h"
 #include "core/scs_binary.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
 #include "graph/generators.h"
 #include "graph/weights.h"
 #include "test_util.h"

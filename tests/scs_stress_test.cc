@@ -8,10 +8,7 @@
 #include <algorithm>
 
 #include "core/delta_index.h"
-#include "core/scs_baseline.h"
-#include "core/scs_binary.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
+#include "core/scs_auto.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/weights.h"
@@ -24,9 +21,9 @@ void ExpectAllAgree(const BipartiteGraph& g, const DeltaIndex& index,
                     VertexId q, uint32_t alpha, uint32_t beta,
                     const char* context) {
   const Subgraph c = index.QueryCommunity(q, alpha, beta);
-  const ScsResult peel = ScsPeel(g, c, q, alpha, beta);
-  const ScsResult expand = ScsExpand(g, c, q, alpha, beta);
-  const ScsResult binary = ScsBinary(g, c, q, alpha, beta);
+  const ScsResult peel = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kPeel);
+  const ScsResult expand = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kExpand);
+  const ScsResult binary = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kBinary);
   ASSERT_EQ(peel.found, !c.Empty()) << context;
   ASSERT_EQ(expand.found, peel.found) << context;
   ASSERT_EQ(binary.found, peel.found) << context;
@@ -115,14 +112,15 @@ TEST(ScsStressTest, PlantedTinyRInsideLargeCommunity) {
   const Subgraph c = index.QueryCommunity(q, 3, 3);
   ASSERT_FALSE(c.Empty());
   ScsStats expand_stats;
-  const ScsResult expand = ScsExpand(g, c, q, 3, 3, {}, &expand_stats);
+  const ScsResult expand =
+      ScsQuery(g, c, q, 3, 3, ScsAlgo::kExpand, {}, &expand_stats);
   ASSERT_TRUE(expand.found);
   EXPECT_DOUBLE_EQ(expand.significance, 100.0);
   EXPECT_EQ(expand.community.Size(), 16u);
   // Expansion should have processed far fewer edges than the community.
   EXPECT_LT(expand_stats.edges_processed, c.Size());
 
-  const ScsResult peel = ScsPeel(g, c, q, 3, 3);
+  const ScsResult peel = ScsQuery(g, c, q, 3, 3, ScsAlgo::kPeel);
   EXPECT_TRUE(SameEdgeSet(peel.community, expand.community));
 }
 
@@ -134,7 +132,7 @@ TEST(ScsStressTest, BaselineAgreesOnMediumGraph) {
     const VertexId q = static_cast<VertexId>(rng.NextBounded(160));
     const uint32_t t = 2 + static_cast<uint32_t>(rng.NextBounded(3));
     const Subgraph c = index.QueryCommunity(q, t, t);
-    const ScsResult peel = ScsPeel(g, c, q, t, t);
+    const ScsResult peel = ScsQuery(g, c, q, t, t, ScsAlgo::kPeel);
     const ScsResult baseline = ScsBaseline(g, q, t, t);
     ASSERT_EQ(baseline.found, peel.found);
     if (peel.found) {
@@ -152,9 +150,10 @@ TEST(ScsStressTest, PeelIsIdempotentOnItsOwnResult) {
   for (int trial = 0; trial < 20; ++trial) {
     const VertexId q = static_cast<VertexId>(rng.NextBounded(80));
     const Subgraph c = index.QueryCommunity(q, 2, 2);
-    const ScsResult first = ScsPeel(g, c, q, 2, 2);
+    const ScsResult first = ScsQuery(g, c, q, 2, 2, ScsAlgo::kPeel);
     if (!first.found) continue;
-    const ScsResult second = ScsPeel(g, first.community, q, 2, 2);
+    const ScsResult second =
+        ScsQuery(g, first.community, q, 2, 2, ScsAlgo::kPeel);
     ASSERT_TRUE(second.found);
     EXPECT_DOUBLE_EQ(second.significance, first.significance);
     EXPECT_TRUE(SameEdgeSet(second.community, first.community));
@@ -172,8 +171,8 @@ TEST(ScsStressTest, ResultShrinksAsSignificanceRises) {
     const VertexId q = static_cast<VertexId>(rng.NextBounded(100));
     const Subgraph c2 = index.QueryCommunity(q, 2, 2);
     const Subgraph c3 = index.QueryCommunity(q, 3, 3);
-    const ScsResult r2 = ScsPeel(g, c2, q, 2, 2);
-    const ScsResult r3 = ScsPeel(g, c3, q, 3, 3);
+    const ScsResult r2 = ScsQuery(g, c2, q, 2, 2, ScsAlgo::kPeel);
+    const ScsResult r3 = ScsQuery(g, c3, q, 3, 3, ScsAlgo::kPeel);
     if (r2.found && r3.found) {
       EXPECT_GE(r2.significance, r3.significance)
           << "looser constraints must allow at least as high significance";

@@ -11,11 +11,8 @@
 #include "common/rng.h"
 #include "core/delta_index.h"
 #include "core/online_query.h"
-#include "core/scs_baseline.h"
-#include "core/scs_binary.h"
+#include "core/scs_auto.h"
 #include "core/scs_common.h"
-#include "core/scs_expand.h"
-#include "core/scs_peel.h"
 #include "test_util.h"
 
 namespace abcs {
@@ -57,18 +54,18 @@ TEST(ScsTest, PaperFigure2SignificantCommunity) {
   const Subgraph c = index.QueryCommunity(u3, 2, 2);
   ASSERT_EQ(c.Size(), 16u);
 
-  for (auto algo : {0, 1, 2}) {
-    ScsResult r = (algo == 0)   ? ScsPeel(g, c, u3, 2, 2)
-                  : (algo == 1) ? ScsExpand(g, c, u3, 2, 2)
-                                : ScsBinary(g, c, u3, 2, 2);
-    ASSERT_TRUE(r.found) << "algo=" << algo;
-    EXPECT_DOUBLE_EQ(r.significance, 13.0) << "algo=" << algo;
-    ASSERT_EQ(r.community.Size(), 4u) << "algo=" << algo;
+  for (const ScsAlgo algo :
+       {ScsAlgo::kPeel, ScsAlgo::kExpand, ScsAlgo::kBinary}) {
+    const ScsResult r = ScsQuery(g, c, u3, 2, 2, algo);
+    ASSERT_TRUE(r.found) << "algo=" << ScsAlgoName(algo);
+    EXPECT_DOUBLE_EQ(r.significance, 13.0) << "algo=" << ScsAlgoName(algo);
+    ASSERT_EQ(r.community.Size(), 4u) << "algo=" << ScsAlgoName(algo);
     // Edges: (u3,v1), (u3,v2), (u4,v1), (u4,v2) — weights 14,13,19,18.
     std::vector<Weight> ws;
     for (EdgeId e : r.community.edges) ws.push_back(g.GetWeight(e));
     std::sort(ws.begin(), ws.end());
-    EXPECT_EQ(ws, (std::vector<Weight>{13, 14, 18, 19})) << "algo=" << algo;
+    EXPECT_EQ(ws, (std::vector<Weight>{13, 14, 18, 19}))
+        << "algo=" << ScsAlgoName(algo);
   }
 
   ScsResult rb = ScsBaseline(g, u3, 2, 2);
@@ -95,9 +92,9 @@ TEST_P(ScsAgreementTest, AllAlgorithmsMatchBruteForce) {
     const Subgraph c = index.QueryCommunity(q, alpha, beta);
 
     const ScsResult ref = ScsBruteForce(g, q, alpha, beta);
-    const ScsResult peel = ScsPeel(g, c, q, alpha, beta);
-    const ScsResult expand = ScsExpand(g, c, q, alpha, beta);
-    const ScsResult binary = ScsBinary(g, c, q, alpha, beta);
+    const ScsResult peel = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kPeel);
+    const ScsResult expand = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kExpand);
+    const ScsResult binary = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kBinary);
     const ScsResult baseline = ScsBaseline(g, q, alpha, beta);
 
     ASSERT_EQ(ref.found, !c.Empty());
@@ -134,7 +131,7 @@ TEST_P(ScsInvariantTest, ResultSatisfiesDefinition5) {
     const uint32_t alpha = 1 + static_cast<uint32_t>(rng.NextBounded(4));
     const uint32_t beta = 1 + static_cast<uint32_t>(rng.NextBounded(4));
     const Subgraph c = index.QueryCommunity(q, alpha, beta);
-    const ScsResult r = ScsPeel(g, c, q, alpha, beta);
+    const ScsResult r = ScsQuery(g, c, q, alpha, beta, ScsAlgo::kPeel);
     if (!r.found) continue;
 
     // Constraints 1)+2): connected, contains q, degree thresholds.
@@ -170,12 +167,11 @@ TEST(ScsTest, AllWeightsEqualReturnsWholeCommunity) {
         static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
     const Subgraph c = index.QueryCommunity(q, 2, 2);
     if (c.Empty()) continue;
-    for (auto algo : {0, 1, 2}) {
-      ScsResult r = (algo == 0)   ? ScsPeel(g, c, q, 2, 2)
-                    : (algo == 1) ? ScsExpand(g, c, q, 2, 2)
-                                  : ScsBinary(g, c, q, 2, 2);
+    for (const ScsAlgo algo :
+         {ScsAlgo::kPeel, ScsAlgo::kExpand, ScsAlgo::kBinary}) {
+      const ScsResult r = ScsQuery(g, c, q, 2, 2, algo);
       ASSERT_TRUE(r.found);
-      EXPECT_TRUE(SameEdgeSet(r.community, c)) << "algo=" << algo;
+      EXPECT_TRUE(SameEdgeSet(r.community, c)) << "algo=" << ScsAlgoName(algo);
       EXPECT_DOUBLE_EQ(r.significance, 1.0);
     }
   }
@@ -184,18 +180,19 @@ TEST(ScsTest, AllWeightsEqualReturnsWholeCommunity) {
 TEST(ScsTest, EmptyCommunityYieldsNotFound) {
   BipartiteGraph g = MakeGraph({{0, 0, 1.0}});
   Subgraph empty;
-  EXPECT_FALSE(ScsPeel(g, empty, 0, 1, 1).found);
-  EXPECT_FALSE(ScsExpand(g, empty, 0, 1, 1).found);
-  EXPECT_FALSE(ScsBinary(g, empty, 0, 1, 1).found);
+  EXPECT_FALSE(ScsQuery(g, empty, 0, 1, 1, ScsAlgo::kPeel).found);
+  EXPECT_FALSE(ScsQuery(g, empty, 0, 1, 1, ScsAlgo::kExpand).found);
+  EXPECT_FALSE(ScsQuery(g, empty, 0, 1, 1, ScsAlgo::kBinary).found);
   EXPECT_FALSE(ScsBaseline(g, 0, 5, 5).found);
 }
 
 TEST(ScsTest, QueryVertexOutsidePoolNotFound) {
   BipartiteGraph g = MakeGraph({{0, 0, 1.0}, {1, 1, 2.0}});
   Subgraph c{{0}};  // only edge (u0, v0)
-  EXPECT_FALSE(ScsPeel(g, c, 1, 1, 1).found);  // u1 not in pool
-  EXPECT_FALSE(ScsExpand(g, c, 1, 1, 1).found);
-  EXPECT_FALSE(ScsBinary(g, c, 1, 1, 1).found);
+  // u1 is not in the pool.
+  EXPECT_FALSE(ScsQuery(g, c, 1, 1, 1, ScsAlgo::kPeel).found);
+  EXPECT_FALSE(ScsQuery(g, c, 1, 1, 1, ScsAlgo::kExpand).found);
+  EXPECT_FALSE(ScsQuery(g, c, 1, 1, 1, ScsAlgo::kBinary).found);
 }
 
 TEST(ScsTest, ExpandEpsilonVariantsAgree) {
@@ -207,11 +204,11 @@ TEST(ScsTest, ExpandEpsilonVariantsAgree) {
         static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
     const Subgraph c = index.QueryCommunity(q, 2, 2);
     if (c.Empty()) continue;
-    ScsResult base = ScsExpand(g, c, q, 2, 2);
+    ScsResult base = ScsQuery(g, c, q, 2, 2, ScsAlgo::kExpand);
     for (double eps : {1.2, 1.5, 3.0, 8.0}) {
       ScsOptions options;
       options.epsilon = eps;
-      ScsResult r = ScsExpand(g, c, q, 2, 2, options);
+      ScsResult r = ScsQuery(g, c, q, 2, 2, ScsAlgo::kExpand, options);
       ASSERT_EQ(r.found, base.found) << "eps=" << eps;
       if (base.found) {
         EXPECT_DOUBLE_EQ(r.significance, base.significance);
@@ -229,9 +226,9 @@ TEST(ScsTest, StatsFollowUnifiedSemantics) {
   const Subgraph c = index.QueryCommunity(0, 2, 2);
   if (c.Empty()) GTEST_SKIP() << "seed produced empty community";
   ScsStats peel_stats, expand_stats, binary_stats;
-  ScsResult rp = ScsPeel(g, c, 0, 2, 2, &peel_stats);
-  ScsResult re = ScsExpand(g, c, 0, 2, 2, {}, &expand_stats);
-  ScsResult rb = ScsBinary(g, c, 0, 2, 2, &binary_stats);
+  ScsResult rp = ScsQuery(g, c, 0, 2, 2, ScsAlgo::kPeel, {}, &peel_stats);
+  ScsResult re = ScsQuery(g, c, 0, 2, 2, ScsAlgo::kExpand, {}, &expand_stats);
+  ScsResult rb = ScsQuery(g, c, 0, 2, 2, ScsAlgo::kBinary, {}, &binary_stats);
   ASSERT_EQ(rp.found, re.found);
   ASSERT_EQ(rp.found, rb.found);
   EXPECT_EQ(peel_stats.algo_used, ScsAlgo::kPeel);
@@ -474,7 +471,7 @@ TEST(ScsTest, MaximalityNoSupergraphWithSameSignificance) {
   const VertexId q = 3;
   const Subgraph c = index.QueryCommunity(q, 2, 2);
   if (c.Empty()) GTEST_SKIP();
-  const ScsResult r = ScsPeel(g, c, q, 2, 2);
+  const ScsResult r = ScsQuery(g, c, q, 2, 2, ScsAlgo::kPeel);
   ASSERT_TRUE(r.found);
   const ScsResult oracle = ScsBruteForce(g, q, 2, 2);
   EXPECT_TRUE(SameEdgeSet(r.community, oracle.community));

@@ -37,10 +37,9 @@
 #include "common/timer.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
+#include "core/profile.h"
 #include "core/query_engine.h"
 #include "core/scs_auto.h"
-#include "core/scs_baseline.h"
-#include "core/profile.h"
 #include "graph/datasets.h"
 #include "graph/graph_io.h"
 #include "io/fault_inject.h"
@@ -595,17 +594,12 @@ int CmdQueryBatch(const QueryArgs& args) {
     requests.push_back({UnifiedId(g, b.q, b.lower), b.alpha, b.beta});
   }
 
-  using abcs::serve::WireMethod;
+  const abcs::serve::WireKernels kernels =
+      abcs::serve::WireMethodKernels(args.method);
   if (abcs::serve::IsScsMethod(args.method)) {
-    abcs::ScsAlgo algo = abcs::ScsAlgo::kAuto;
-    // "scs-peel" runs kernel "peel": the method name minus its prefix.
-    ParseScsAlgo(abcs::serve::WireMethodName(args.method) + 4, &algo);
-    return RunScsBatchQueries(args, session, requests, algo);
+    return RunScsBatchQueries(args, session, requests, kernels.scs);
   }
-  const abcs::QueryMethod method =
-      args.method == WireMethod::kOnline   ? abcs::QueryMethod::kOnline
-      : args.method == WireMethod::kBicore ? abcs::QueryMethod::kBicore
-                                           : abcs::QueryMethod::kDelta;
+  const abcs::QueryMethod method = kernels.retrieval;
 
   abcs::DeltaIndex owned_delta;
   abcs::BicoreIndex owned_bicore;
@@ -1128,9 +1122,10 @@ int RunClientBatch(const ClientArgs& args,
 
   const bool scs = abcs::serve::IsScsMethod(args.method);
   if (scs) {
-    // Matches RunScsBatchQueries' header: algo strips the "scs-" prefix.
+    // Matches RunScsBatchQueries' header.
+    const abcs::ScsAlgo algo = abcs::serve::WireMethodKernels(args.method).scs;
     std::printf("# batch of %zu scs queries, algo=%s\n", requests.size(),
-                abcs::serve::WireMethodName(args.method) + 4);
+                abcs::ScsAlgoName(algo));
   } else {
     std::printf("# batch of %zu queries, method=%s\n", requests.size(),
                 abcs::serve::WireMethodName(args.method));
