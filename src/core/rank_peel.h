@@ -30,10 +30,11 @@ namespace abcs {
 /// and the set of edges it kills does not depend on the order it pops
 /// vertices in, so `edges_processed` is order-independent.
 ///
-/// Cancellation: one `CancelTick()` per rank or arc inspected. Cascades
-/// run to completion; kernels check `CancelStopped()` at batch and probe
-/// boundaries and abandon with `found = false`. Every structure is a
-/// per-query scratch slot re-assigned by the next `Reset*`, so an
+/// Cancellation: one `CancelTick()` per rank or arc inspected, ticked in
+/// `Insert`, `PeelRange` and `RunCascade` and nowhere else in the kernels.
+/// Cascades run to completion; kernels check `CancelStopped()` at batch
+/// and probe boundaries and abandon with `found = false`. Every structure
+/// is a per-query scratch slot re-assigned by the next `Reset*`, so an
 /// abandoned state owes no unwind.
 class RankPeel {
  public:
@@ -67,7 +68,6 @@ class RankPeel {
     return lg_.IsUpperLocal(x) ? alpha_ : beta_;
   }
   uint32_t Degree(uint32_t x) const { return deg_[x]; }
-  bool Alive(uint32_t r) const { return alive_[r] != 0; }
   /// True iff q is below its threshold — the stop test of every kernel.
   bool QViolates() const { return deg_[lq_] < Threshold(lq_); }
 
@@ -108,15 +108,9 @@ class RankPeel {
     return !s_.CancelStopped() && !QViolates();
   }
 
-  /// Kills alive rank `r` and repairs both endpoint degrees; with
-  /// `journal`, records the kill for `Restore`.
-  void Kill(uint32_t r, bool journal) {
-    const LocalGraph::LocalEdge& le = lg_.edges()[r];
-    Kill(r, le.u, le.v, journal);
-  }
-
   /// Inserts dead rank `r` (SCS-Expand's growth step).
   void Insert(uint32_t r) {
+    s_.CancelTick();
     const LocalGraph::LocalEdge& le = lg_.edges()[r];
     alive_[r] = 1;
     if (stats_) ++stats_->edges_processed;
@@ -140,6 +134,21 @@ class RankPeel {
 
   /// Forgets the journal, committing its kills.
   void ClearJournal() { journal_.clear(); }
+  /// One journaled step: forgets the journal, kills every alive rank in
+  /// [begin, end) that `keep(r)` accepts, and cascades. `Restore` undoes
+  /// exactly this step.
+  template <typename Keep>
+  void PeelRange(uint32_t begin, uint32_t end, Keep&& keep) {
+    ClearJournal();
+    for (uint32_t r = begin; r < end; ++r) {
+      s_.CancelTick();
+      if (alive_[r] && keep(r)) {
+        const LocalGraph::LocalEdge& le = lg_.edges()[r];
+        Kill(r, le.u, le.v, /*journal=*/true);
+      }
+    }
+    RunCascade(/*journal=*/true);
+  }
   /// Undoes every journaled kill and clears the journal.
   void Restore() {
     for (const uint32_t r : journal_) {
@@ -161,12 +170,7 @@ class RankPeel {
   bool DescendFrom(uint32_t di, Keep&& keep, ScsResult* out) {
     for (uint32_t d = di + 1; d-- > 0;) {
       if (s_.CancelStopped()) return false;
-      ClearJournal();
-      for (uint32_t r = lg_.PrefixBegin(d); r < lg_.PrefixEnd(d); ++r) {
-        s_.CancelTick();
-        if (alive_[r] && keep(r)) Kill(r, /*journal=*/true);
-      }
-      RunCascade(/*journal=*/true);
+      PeelRange(lg_.PrefixBegin(d), lg_.PrefixEnd(d), keep);
       if (QViolates()) {
         Restore();
         ExtractComponent(lg_.DistinctWeight(d), out);
@@ -183,8 +187,9 @@ class RankPeel {
   }
 
  private:
-  // Kill with the endpoints already known (the cascade reads them off the
-  // arc, sparing a lookup in the edge array).
+  // Kills alive rank r = (x, y) and repairs both endpoint degrees; with
+  // `journal`, records the kill for `Restore`. The cascade passes the
+  // endpoints off the arc, sparing a lookup in the edge array.
   void Kill(uint32_t r, uint32_t x, uint32_t y, bool journal) {
     alive_[r] = 0;
     if (journal) journal_.push_back(r);

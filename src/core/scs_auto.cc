@@ -97,10 +97,8 @@ ScsResult ScsBaseline(const BipartiteGraph& g, VertexId q, uint32_t alpha,
                       ScsWorkspace* workspace) {
   ScsWorkspace local_ws;
   ScsWorkspace& ws = workspace ? *workspace : local_ws;
-  if (ws.pool.edges.size() != g.NumEdges()) {
-    ws.pool.edges.resize(g.NumEdges());
-    std::iota(ws.pool.edges.begin(), ws.pool.edges.end(), 0u);
-  }
+  ws.pool.edges.resize(g.NumEdges());
+  std::iota(ws.pool.edges.begin(), ws.pool.edges.end(), 0u);
   return ScsQuery(g, ws.pool, q, alpha, beta, ScsAlgo::kExpand, options,
                   stats, scratch, &ws);
 }

@@ -53,8 +53,8 @@ ScsResult ScsQuery(const BipartiteGraph& g, const Subgraph& community,
 
 /// \brief SCS-Baseline (paper §V-A): `ScsQuery(kExpand)` over the *whole
 /// graph* instead of C_{α,β}(q), so the search space is q's connected
-/// component in G — the cost the two-step paradigm avoids. The whole-graph
-/// edge pool is kept in `workspace` (when supplied) across calls.
+/// component in G — the cost the two-step paradigm avoids. Each call fills
+/// the whole-graph edge pool into `workspace`'s buffer (when supplied).
 ScsResult ScsBaseline(const BipartiteGraph& g, VertexId q, uint32_t alpha,
                       uint32_t beta, const ScsOptions& options = {},
                       ScsStats* stats = nullptr,

@@ -62,12 +62,7 @@ void ScsBinaryOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
   // every kill journaled: commit on feasible, undo on infeasible.
   uint32_t cur_end = lg.NumEdges();
   auto probe = [&](uint32_t target_end) {
-    peel.ClearJournal();
-    for (uint32_t r = target_end; r < cur_end; ++r) {
-      s.CancelTick();
-      if (peel.Alive(r)) peel.Kill(r, /*journal=*/true);
-    }
-    peel.RunCascade(/*journal=*/true);
+    peel.PeelRange(target_end, cur_end, [](uint32_t) { return true; });
     const bool feasible = !peel.QViolates();
     if (stats) ++stats->incremental_probes;
     if (probe_log) probe_log->push_back(ScsProbe{target_end, feasible});

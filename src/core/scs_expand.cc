@@ -54,7 +54,6 @@ void ScsExpandOnLocal(const LocalGraph& lg, VertexId q, uint32_t alpha,
     if (s.CancelStopped()) return;
     // Add the rank batch of the next distinct weight.
     for (uint32_t r = lg.PrefixBegin(di); r < lg.PrefixEnd(di); ++r) {
-      s.CancelTick();
       peel.Insert(r);
       const LocalGraph::LocalEdge& le = lg.edges()[r];
       for (uint32_t x : {le.u, le.v}) {

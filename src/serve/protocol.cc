@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/query_engine.h"
+
 namespace abcs::serve {
 
 namespace {
@@ -138,7 +140,7 @@ WireKernels WireMethodKernels(WireMethod method) {
     case WireMethod::kScsBinary:
       return {QueryMethod::kDelta, ScsAlgo::kBinary};
   }
-  return {};
+  return {QueryMethod::kDelta, ScsAlgo::kAuto};
 }
 
 void EncodeRequest(const WireRequest& req, std::vector<std::byte>* out) {

@@ -7,8 +7,11 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/query_engine.h"
 #include "core/scs_common.h"
+
+namespace abcs {
+enum class QueryMethod;  // core/query_engine.h
+}  // namespace abcs
 
 namespace abcs::serve {
 
@@ -241,7 +244,7 @@ bool ParseWireMethod(const char* name, WireMethod* out);
 /// all retrieve through I_δ). The one mapping from wire method to kernel,
 /// shared by the daemon and the CLI.
 struct WireKernels {
-  QueryMethod retrieval = QueryMethod::kDelta;
+  QueryMethod retrieval;
   ScsAlgo scs = ScsAlgo::kAuto;  ///< meaningful for IsScsMethod() only
 };
 WireKernels WireMethodKernels(WireMethod method);
