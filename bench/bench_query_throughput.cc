@@ -156,8 +156,10 @@ int main(int argc, char** argv) {
           abcs::QueryMethod::kDelta}) {
       const abcs::QueryEngine engine(ds.graph, method, &delta, &bicore);
       for (const unsigned threads : ThreadCounts()) {
-        const abcs::BatchResult warm = engine.RunBatch(requests, {threads});
-        const abcs::BatchResult run = engine.RunBatch(requests, {threads});
+        abcs::BatchOptions options;
+        options.num_threads = threads;
+        const abcs::BatchResult warm = engine.RunBatch(requests, options);
+        const abcs::BatchResult run = engine.RunBatch(requests, options);
         (void)warm;
         Row row{abcs::QueryMethodName(method), point.label, point.alpha,
                 point.beta, threads};

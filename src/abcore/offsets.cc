@@ -23,32 +23,18 @@ namespace {
 /// (k,1)- or (1,k)-core get offset 0. O(m). All per-call state lives in
 /// `ws`; the result is `ws.offset`.
 void ComputeOffsetsInto(const BipartiteGraph& g, uint32_t k, bool fix_upper,
-                        const std::vector<uint8_t>* scope,
                         OffsetWorkspace& ws) {
   const uint32_t n = g.NumVertices();
   ws.offset.assign(n, 0);
   ws.alive.assign(n, 1);
   ws.deg.assign(n, 0);
 
-  auto in_scope = [&](VertexId v) { return scope == nullptr || (*scope)[v]; };
   auto is_fixed = [&](VertexId v) { return g.IsUpper(v) == fix_upper; };
 
   uint32_t max_ranked_deg = 0;
   for (VertexId v = 0; v < n; ++v) {
-    if (!in_scope(v)) {
-      ws.alive[v] = 0;
-      continue;
-    }
-    uint32_t d = 0;
-    if (scope == nullptr) {
-      d = g.Degree(v);
-    } else {
-      for (const Arc& a : g.Neighbors(v)) {
-        if ((*scope)[a.to]) ++d;
-      }
-    }
-    ws.deg[v] = d;
-    if (!is_fixed(v)) max_ranked_deg = std::max(max_ranked_deg, d);
+    ws.deg[v] = g.Degree(v);
+    if (!is_fixed(v)) max_ranked_deg = std::max(max_ranked_deg, ws.deg[v]);
   }
 
   LevelPeeler peeler(
@@ -62,10 +48,9 @@ void ComputeOffsetsInto(const BipartiteGraph& g, uint32_t k, bool fix_upper,
 }
 
 std::vector<uint32_t> ComputeOffsetsImpl(const BipartiteGraph& g, uint32_t k,
-                                         bool fix_upper,
-                                         const std::vector<uint8_t>* scope) {
+                                         bool fix_upper) {
   OffsetWorkspace ws;
-  ComputeOffsetsInto(g, k, fix_upper, scope, ws);
+  ComputeOffsetsInto(g, k, fix_upper, ws);
   return std::move(ws.offset);
 }
 
@@ -210,51 +195,25 @@ BicoreDecomposition LayoutDecomposition(const BipartiteGraph& g) {
 
 std::vector<uint32_t> ComputeAlphaOffsets(const BipartiteGraph& g,
                                           uint32_t alpha) {
-  return ComputeOffsetsImpl(g, alpha, /*fix_upper=*/true, nullptr);
+  return ComputeOffsetsImpl(g, alpha, /*fix_upper=*/true);
 }
 
 std::vector<uint32_t> ComputeBetaOffsets(const BipartiteGraph& g,
                                          uint32_t beta) {
-  return ComputeOffsetsImpl(g, beta, /*fix_upper=*/false, nullptr);
-}
-
-std::vector<uint32_t> ComputeAlphaOffsetsScoped(
-    const BipartiteGraph& g, uint32_t alpha,
-    const std::vector<uint8_t>& scope) {
-  return ComputeOffsetsImpl(g, alpha, /*fix_upper=*/true, &scope);
-}
-
-std::vector<uint32_t> ComputeBetaOffsetsScoped(
-    const BipartiteGraph& g, uint32_t beta,
-    const std::vector<uint8_t>& scope) {
-  return ComputeOffsetsImpl(g, beta, /*fix_upper=*/false, &scope);
-}
-
-const std::vector<uint32_t>& ComputeAlphaOffsetsScoped(
-    const BipartiteGraph& g, uint32_t alpha, const std::vector<uint8_t>& scope,
-    OffsetWorkspace& ws) {
-  ComputeOffsetsInto(g, alpha, /*fix_upper=*/true, &scope, ws);
-  return ws.offset;
-}
-
-const std::vector<uint32_t>& ComputeBetaOffsetsScoped(
-    const BipartiteGraph& g, uint32_t beta, const std::vector<uint8_t>& scope,
-    OffsetWorkspace& ws) {
-  ComputeOffsetsInto(g, beta, /*fix_upper=*/false, &scope, ws);
-  return ws.offset;
+  return ComputeOffsetsImpl(g, beta, /*fix_upper=*/false);
 }
 
 const std::vector<uint32_t>& ComputeAlphaOffsets(const BipartiteGraph& g,
                                                  uint32_t alpha,
                                                  OffsetWorkspace& ws) {
-  ComputeOffsetsInto(g, alpha, /*fix_upper=*/true, nullptr, ws);
+  ComputeOffsetsInto(g, alpha, /*fix_upper=*/true, ws);
   return ws.offset;
 }
 
 const std::vector<uint32_t>& ComputeBetaOffsets(const BipartiteGraph& g,
                                                 uint32_t beta,
                                                 OffsetWorkspace& ws) {
-  ComputeOffsetsInto(g, beta, /*fix_upper=*/false, nullptr, ws);
+  ComputeOffsetsInto(g, beta, /*fix_upper=*/false, ws);
   return ws.offset;
 }
 

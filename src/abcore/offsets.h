@@ -41,29 +41,9 @@ struct OffsetWorkspace {
   LevelPeelScratch peel;
 };
 
-/// \brief α-offsets restricted to a vertex subset (`scope[v]` nonzero):
-/// computes `s_a(·, α)` of the subgraph induced by the scope. Used by
-/// component-local index maintenance. Vertices outside the scope keep
-/// offset value 0 (callers pass their previously known offsets
-/// separately).
-std::vector<uint32_t> ComputeAlphaOffsetsScoped(const BipartiteGraph& g,
-                                                uint32_t alpha,
-                                                const std::vector<uint8_t>& scope);
-
-/// Scoped variant of ComputeBetaOffsets (see ComputeAlphaOffsetsScoped).
-std::vector<uint32_t> ComputeBetaOffsetsScoped(const BipartiteGraph& g,
-                                               uint32_t beta,
-                                               const std::vector<uint8_t>& scope);
-
 /// Workspace forms: identical results, computed into `ws.offset` (returned
 /// by reference, valid until the next call on `ws`) with zero steady-state
 /// heap allocations.
-const std::vector<uint32_t>& ComputeAlphaOffsetsScoped(
-    const BipartiteGraph& g, uint32_t alpha, const std::vector<uint8_t>& scope,
-    OffsetWorkspace& ws);
-const std::vector<uint32_t>& ComputeBetaOffsetsScoped(
-    const BipartiteGraph& g, uint32_t beta, const std::vector<uint8_t>& scope,
-    OffsetWorkspace& ws);
 const std::vector<uint32_t>& ComputeAlphaOffsets(const BipartiteGraph& g,
                                                  uint32_t alpha,
                                                  OffsetWorkspace& ws);

@@ -2,10 +2,12 @@
 #define ABCS_CORE_QUERY_ENGINE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/bicore_index.h"
+#include "core/cancel.h"
 #include "core/delta_index.h"
 #include "core/online_query.h"
 #include "core/query_scratch.h"
@@ -30,42 +32,66 @@ struct QueryRequest {
   uint32_t beta = 1;
 };
 
-/// Deterministic per-query outcome (latency excluded from determinism).
+/// Deterministic per-query outcome (latencies excluded from determinism):
+/// the answer, its size and the work spent on it, in one record.
 struct QueryOutcome {
+  /// With an SCS kernel: R was found. Without one: C is non-empty.
+  bool found = false;
   uint32_t num_edges = 0;      ///< size(C_{α,β}(q))
-  uint64_t touched_arcs = 0;   ///< work counter (see QueryStats)
-  double seconds = 0.0;        ///< per-query latency
-  /// The per-query deadline fired mid-execution: the query unwound
-  /// cooperatively and answered empty. Always false when
-  /// `BatchOptions::deadline_ms` is 0 (the default), so undeadlined
-  /// batches stay bit-identical to the pre-cancellation engine.
-  bool deadline_exceeded = false;
+  uint64_t touched_arcs = 0;   ///< retrieval work counter (see QueryStats)
+  uint32_t result_edges = 0;   ///< size(R); 0 without an SCS kernel
+  Weight significance = 0;     ///< f(R); 0 without an SCS kernel
+  /// The kernel that extracted R (kAuto resolved by the planner); nullopt
+  /// without an SCS kernel.
+  std::optional<ScsAlgo> kernel;
+  uint32_t validations = 0;  ///< SCS work counters (see ScsStats)
+  uint32_t incremental_probes = 0;
+  uint64_t edges_processed = 0;
+  double seconds = 0.0;           ///< retrieval + SCS latency
+  double retrieve_seconds = 0.0;  ///< retrieval share of `seconds`
+};
+
+/// \brief The pooled state of one query thread: retrieval scratch, the SCS
+/// workspace, the retrieved C, the extracted R and a cancel token its
+/// owner may arm around `QueryEngine::Execute`. One per thread; after
+/// warm-up a worker's queries allocate nothing.
+struct QueryWorker {
+  QueryScratch scratch;
+  ScsWorkspace workspace;
+  Subgraph community;  ///< C of the last query
+  ScsResult scs;       ///< R of the last query run with an SCS kernel
+  CancelToken token;
 };
 
 /// Aggregates over one batch.
 struct BatchStats {
   uint64_t num_queries = 0;
-  uint64_t num_nonempty = 0;
-  uint64_t total_edges = 0;    ///< Σ size(C)
-  uint64_t touched_arcs = 0;   ///< Σ per-query touched arcs
-  double total_seconds = 0.0;  ///< Σ per-query latencies (CPU-side)
-  double p50_seconds = 0.0;    ///< median per-query latency
-  double p99_seconds = 0.0;    ///< 99th-percentile per-query latency
+  uint64_t num_found = 0;           ///< outcomes with `found` set
+  uint64_t total_edges = 0;         ///< Σ size(C)
+  uint64_t touched_arcs = 0;        ///< Σ per-query touched arcs
+  uint64_t total_result_edges = 0;  ///< Σ size(R)
+  uint64_t validations = 0;
+  uint64_t incremental_probes = 0;
+  uint64_t edges_processed = 0;
+  /// Resolved-kernel histogram, indexed by ScsAlgo (kAuto slot unused).
+  uint64_t kernel_counts[4] = {0, 0, 0, 0};
+  double total_seconds = 0.0;     ///< Σ per-query latencies (CPU-side)
+  double retrieve_seconds = 0.0;  ///< Σ retrieval latencies
+  double p50_seconds = 0.0;       ///< median per-query latency
+  double p99_seconds = 0.0;       ///< 99th-percentile per-query latency
 };
 
 /// Options for `QueryEngine::RunBatch`.
 struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial (default).
   unsigned num_threads = 1;
-  /// Retain every community's edge set in `BatchResult::communities`
-  /// (costs one allocation per non-empty result; off for throughput runs).
+  /// Extract R from every retrieved C with this kernel (kAuto = per-query
+  /// planner); nullopt answers with C itself.
+  std::optional<ScsAlgo> scs;
+  /// Retain every answer's edge set (R with `scs`, else C) in
+  /// `BatchResult::communities` (costs one allocation per non-empty
+  /// answer; off for throughput runs).
   bool keep_communities = false;
-  /// Per-query execution budget in milliseconds, enforced cooperatively
-  /// inside the kernels (`CancelToken` through `QueryScratch`). 0 (the
-  /// default) disarms the token entirely — one relaxed load per edge-op,
-  /// bit-identical results. An overrunning query stops, answers empty and
-  /// sets `QueryOutcome::deadline_exceeded`.
-  uint32_t deadline_ms = 0;
 };
 
 /// Result of a batch run. `outcomes[i]` corresponds to `requests[i]`
@@ -85,69 +111,6 @@ struct BatchResult {
   }
 };
 
-/// Options for `QueryEngine::RunScsBatch`.
-struct ScsBatchOptions {
-  /// Worker threads; 0 = hardware concurrency, 1 = serial (default).
-  unsigned num_threads = 1;
-  /// Kernel selection; kAuto lets the planner decide per query.
-  ScsAlgo algo = ScsAlgo::kAuto;
-  ScsOptions scs;
-  /// Retain every R edge set in `ScsBatchResult::communities`.
-  bool keep_communities = false;
-  /// Per-query budget over retrieval + SCS together (see
-  /// `BatchOptions::deadline_ms`). 0 = disarmed.
-  uint32_t deadline_ms = 0;
-};
-
-/// Deterministic per-query SCS outcome (latency excluded from determinism).
-struct ScsOutcome {
-  bool found = false;
-  uint32_t community_edges = 0;  ///< size(C_{α,β}(q)), the SCS input
-  uint32_t result_edges = 0;     ///< size(R)
-  Weight significance = 0;       ///< f(R)
-  ScsAlgo algo_used = ScsAlgo::kPeel;  ///< planner decision (deterministic)
-  uint32_t validations = 0;
-  uint32_t incremental_probes = 0;
-  uint64_t edges_processed = 0;
-  double seconds = 0.0;           ///< retrieval + SCS latency
-  double retrieve_seconds = 0.0;  ///< retrieval share of `seconds`
-  /// The per-query deadline fired mid-execution (see QueryOutcome).
-  bool deadline_exceeded = false;
-};
-
-/// Aggregates over one SCS batch.
-struct ScsBatchStats {
-  uint64_t num_queries = 0;
-  uint64_t num_found = 0;
-  uint64_t total_community_edges = 0;  ///< Σ size(C)
-  uint64_t total_result_edges = 0;     ///< Σ size(R)
-  uint64_t validations = 0;
-  uint64_t incremental_probes = 0;
-  uint64_t edges_processed = 0;
-  /// Resolved-kernel histogram, indexed by ScsAlgo (kAuto slot unused).
-  uint64_t algo_counts[4] = {0, 0, 0, 0};
-  double total_seconds = 0.0;
-  double retrieve_seconds = 0.0;  ///< Σ retrieval latencies
-  double p50_seconds = 0.0;
-  double p99_seconds = 0.0;
-};
-
-/// Result of an SCS batch. `outcomes[i]` matches `requests[i]` for every
-/// thread count; only latencies vary.
-struct ScsBatchResult {
-  std::vector<ScsOutcome> outcomes;
-  std::vector<Subgraph> communities;  ///< R per request iff keep_communities
-  ScsBatchStats stats;
-  double wall_seconds = 0.0;
-  unsigned num_threads_used = 0;
-
-  double QueriesPerSecond() const {
-    return wall_seconds > 0.0
-               ? static_cast<double>(stats.num_queries) / wall_seconds
-               : 0.0;
-  }
-};
-
 /// \brief Batched, multithreaded community-query driver.
 ///
 /// Wraps the three retrieval paths behind one submission API: requests are
@@ -155,10 +118,11 @@ struct ScsBatchResult {
 /// partition (core/work_steal.h: workers start with contiguous chunks and
 /// steal half of the largest remaining chunk when theirs drains, so one
 /// slow query never stalls the requests queued behind it). Each worker
-/// owns a `QueryScratch` and a reusable output `Subgraph`, so the steady
-/// state of a batch performs zero heap allocations per query (the paper's
-/// output-sensitive bound with no hidden O(n) clearing). The indexes are
-/// immutable after construction, so concurrent queries need no locking,
+/// owns one `QueryWorker`, so the steady state of a batch performs zero
+/// heap allocations per query (the paper's output-sensitive bound with no
+/// hidden O(n) clearing). `Execute` is the one per-query step: `RunBatch`
+/// and the serving daemon both reach the kernels through it. The indexes
+/// are immutable after construction, so concurrent queries need no locking,
 /// and `outcomes[i]` is written by exactly one worker regardless of who
 /// executes it — results are bit-identical for every thread count.
 class QueryEngine {
@@ -177,18 +141,17 @@ class QueryEngine {
   void Query(const QueryRequest& request, QueryScratch& scratch,
              Subgraph* out, QueryStats* stats = nullptr) const;
 
-  /// Runs `requests` over the configured worker count.
+  /// The paper's two-step paradigm for one request: retrieves C_{α,β}(q)
+  /// through the configured path into `worker.community`, then, when `scs`
+  /// is set, extracts R into `worker.scs` with that kernel. Never arms
+  /// `worker.token`; an owner that does reads `Stopped()` afterwards and
+  /// discards the outcome.
+  QueryOutcome Execute(const QueryRequest& request,
+                       std::optional<ScsAlgo> scs, QueryWorker& worker) const;
+
+  /// Runs `Execute` over `requests` on the configured worker count.
   BatchResult RunBatch(std::span<const QueryRequest> requests,
                        const BatchOptions& options = {}) const;
-
-  /// Runs the full two-step paradigm per request — retrieve C_{α,β}(q)
-  /// through the configured path, then extract the significant community
-  /// with the selected SCS kernel (kAuto = per-query planner). Each worker
-  /// owns one `QueryScratch` + `ScsWorkspace` + output buffers, so the
-  /// steady state of a batch allocates nothing and results are
-  /// bit-identical for every thread count.
-  ScsBatchResult RunScsBatch(std::span<const QueryRequest> requests,
-                             const ScsBatchOptions& options = {}) const;
 
  private:
   const BipartiteGraph* graph_;

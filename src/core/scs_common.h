@@ -196,7 +196,7 @@ struct ScsExpandAux {
 /// SCS-Baseline searches. Pair it with a `QueryScratch`; after warm-up the
 /// steady state of a batch performs zero heap allocations.
 ///
-/// Not thread-safe: one instance per thread (see QueryEngine::RunScsBatch).
+/// Not thread-safe: one instance per thread (see QueryWorker).
 struct ScsWorkspace {
   LocalGraph lg;
   ScsExpandAux expand;

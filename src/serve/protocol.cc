@@ -127,10 +127,11 @@ bool ParseWireMethod(const char* name, WireMethod* out) {
 WireKernels WireMethodKernels(WireMethod method) {
   switch (method) {
     case WireMethod::kOnline:
-      return {QueryMethod::kOnline, ScsAlgo::kAuto};
+      return {QueryMethod::kOnline, std::nullopt};
     case WireMethod::kBicore:
-      return {QueryMethod::kBicore, ScsAlgo::kAuto};
+      return {QueryMethod::kBicore, std::nullopt};
     case WireMethod::kDelta:
+      return {QueryMethod::kDelta, std::nullopt};
     case WireMethod::kScsAuto:
       return {QueryMethod::kDelta, ScsAlgo::kAuto};
     case WireMethod::kScsPeel:
@@ -140,7 +141,7 @@ WireKernels WireMethodKernels(WireMethod method) {
     case WireMethod::kScsBinary:
       return {QueryMethod::kDelta, ScsAlgo::kBinary};
   }
-  return {QueryMethod::kDelta, ScsAlgo::kAuto};
+  return {QueryMethod::kDelta, std::nullopt};
 }
 
 void EncodeRequest(const WireRequest& req, std::vector<std::byte>* out) {
@@ -271,12 +272,16 @@ Status DecodeResponse(std::span<const std::byte> payload, WireResponse* out) {
       type != static_cast<uint8_t>(MessageType::kUpdate)) {
     return Status::Corruption("unknown message type");
   }
+  const uint8_t kernel = static_cast<uint8_t>(p[5]);
+  if (kernel > static_cast<uint8_t>(ScsAlgo::kBinary) && kernel != kNoKernel) {
+    return Status::Corruption("unknown kernel");
+  }
   const uint8_t found = static_cast<uint8_t>(p[6]);
   const uint8_t memo = static_cast<uint8_t>(p[7]);
   if (found > 1 || memo > 1) return Status::Corruption("bad flag byte");
   out->status = static_cast<WireStatus>(status);
   out->type = static_cast<MessageType>(type);
-  out->kernel = static_cast<uint8_t>(p[5]);
+  out->kernel = kernel;
   out->found = found == 1;
   out->memo_hit = memo == 1;
   out->num_edges = GetU32(p + 8);

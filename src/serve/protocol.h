@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -132,6 +133,10 @@ struct WireRequest {
 
 inline constexpr std::size_t kRequestWireBytes = 24;
 
+/// Response kernel byte when no SCS kernel ran (the retrieval methods).
+/// The only other valid values are the ScsAlgo enumerators.
+inline constexpr uint8_t kNoKernel = 0xff;
+
 /// One response. Carries the semantic result only — counts, significance,
 /// resolved kernel — never internal work counters (a memo hit does no
 /// work, so echoing the original computation's counters would lie).
@@ -142,7 +147,8 @@ inline constexpr std::size_t kRequestWireBytes = 24;
 ///   2   1    version
 ///   3   1    status (WireStatus)
 ///   4   1    type (echoes the request's MessageType)
-///   5   1    kernel (resolved ScsAlgo for SCS methods; 0xff otherwise)
+///   5   1    kernel (resolved ScsAlgo for SCS methods; kNoKernel
+///            otherwise)
 ///   6   1    found (SCS: R exists; retrieval: community nonempty)
 ///   7   1    memo_hit (diagnostic: answer came from the warm memo)
 ///   8   4    num_edges (|C|)
@@ -154,7 +160,7 @@ inline constexpr std::size_t kRequestWireBytes = 24;
 struct WireResponse {
   WireStatus status = WireStatus::kOk;
   MessageType type = MessageType::kQuery;
-  uint8_t kernel = 0xff;
+  uint8_t kernel = kNoKernel;
   bool found = false;
   bool memo_hit = false;
   uint32_t num_edges = 0;
@@ -245,7 +251,7 @@ bool ParseWireMethod(const char* name, WireMethod* out);
 /// shared by the daemon and the CLI.
 struct WireKernels {
   QueryMethod retrieval;
-  ScsAlgo scs = ScsAlgo::kAuto;  ///< meaningful for IsScsMethod() only
+  std::optional<ScsAlgo> scs;  ///< nullopt for online/bicore/delta
 };
 WireKernels WireMethodKernels(WireMethod method);
 

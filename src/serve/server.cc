@@ -14,7 +14,7 @@
 #include <cstring>
 #include <limits>
 
-#include "core/scs_auto.h"
+#include "core/cancel.h"
 #include "io/fault_inject.h"
 #include "io/index_bundle.h"
 #include "serve/net_ops.h"
@@ -69,19 +69,16 @@ Server::Server(const BipartiteGraph& g, const DeltaIndex* delta,
                             ? options.num_threads
                             : std::max(1u,
                                        std::thread::hardware_concurrency())),
-      memo_(options.memo_max_entries),
       scheduler_(resolved_threads_, options.max_queue) {
   SnapshotManagerOptions smo;
   smo.update_queue = options.update_queue;
   smo.compact_path = options.compact_path;
   smo.compact_every = options.compact_every;
-  smo.publish_threads =
-      options.publish_threads ? options.publish_threads : resolved_threads_;
   snapshots_ = std::make_unique<SnapshotManager>(g, delta, bicore,
                                                  options.seed_decomp, smo);
   worker_states_.reserve(resolved_threads_);
   for (unsigned t = 0; t < resolved_threads_; ++t) {
-    worker_states_.push_back(std::make_unique<WorkerState>());
+    worker_states_.push_back(std::make_unique<QueryWorker>());
   }
 }
 
@@ -477,7 +474,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
 
 void Server::WorkerLoop(unsigned t) {
   Task task;
-  WorkerState& ws = *worker_states_[t];
+  QueryWorker& w = *worker_states_[t];
   while (scheduler_.Pop(t, &task)) {
     inflight_.fetch_add(1);
     const Snapshot& snap = *task.snap;
@@ -523,13 +520,13 @@ void Server::WorkerLoop(unsigned t) {
             1, std::chrono::duration_cast<std::chrono::milliseconds>(left)
                    .count()));
       }
-      ws.scratch.set_cancel_token(&ws.token);
-      ws.token.Arm(remaining_ms);
-      Execute(task.req, snap, t, &resp);
-      const bool stopped = ws.token.Stopped();
-      const CancelToken::StopReason reason = ws.token.reason();
-      ws.token.Finish();
-      ws.scratch.set_cancel_token(nullptr);
+      w.scratch.set_cancel_token(&w.token);
+      w.token.Arm(remaining_ms);
+      Execute(task.req, snap, w, &resp);
+      const bool stopped = w.token.Stopped();
+      const CancelToken::StopReason reason = w.token.reason();
+      w.token.Finish();
+      w.scratch.set_cancel_token(nullptr);
       if (stopped) {
         // The kernels unwound mid-query: the partial answer is meaningless
         // and must not poison the memo. Count by who pulled the trigger.
@@ -546,7 +543,7 @@ void Server::WorkerLoop(unsigned t) {
         value = MemoValue{resp.found, resp.num_edges, resp.result_edges,
                           resp.kernel, resp.significance};
         memo_.Insert(task.req.method, task.req.alpha, task.req.beta, q,
-                     snap.graph(), ws.community, value, snap.epoch());
+                     snap.graph(), w.community, value, snap.epoch());
       }
     }
     Respond(task.conn, task.seq, resp);
@@ -554,39 +551,17 @@ void Server::WorkerLoop(unsigned t) {
   }
 }
 
-void Server::Execute(const WireRequest& req, const Snapshot& snap, unsigned t,
-                     WireResponse* resp) {
-  WorkerState& ws = *worker_states_[t];
-  const BipartiteGraph& g = snap.graph();
-  const VertexId q = req.lower_side ? g.NumUpper() + req.q : req.q;
-  const QueryRequest qr{q, req.alpha, req.beta};
+void Server::Execute(const WireRequest& req, const Snapshot& snap,
+                     QueryWorker& w, WireResponse* resp) {
+  const VertexId q = req.lower_side ? snap.graph().NumUpper() + req.q : req.q;
   const WireKernels kernels = WireMethodKernels(req.method);
-  // Retrieval first: the three plain methods answer with C itself, the
-  // SCS methods retrieve C through I_δ exactly like `abcs query --batch
-  // --method scs-*` before extracting R.
-  switch (kernels.retrieval) {
-    case QueryMethod::kOnline:
-      snap.online_engine().Query(qr, ws.scratch, &ws.community);
-      break;
-    case QueryMethod::kBicore:
-      snap.bicore_engine().Query(qr, ws.scratch, &ws.community);
-      break;
-    case QueryMethod::kDelta:
-      snap.delta_engine().Query(qr, ws.scratch, &ws.community);
-      break;
-  }
-  resp->num_edges = static_cast<uint32_t>(ws.community.edges.size());
-  if (IsScsMethod(req.method)) {
-    ScsStats stats;
-    ScsQueryInto(g, ws.community, q, req.alpha, req.beta, kernels.scs,
-                 ScsOptions{}, &ws.scs, &stats, &ws.scratch, &ws.workspace);
-    resp->found = ws.scs.found;
-    resp->result_edges = static_cast<uint32_t>(ws.scs.community.edges.size());
-    resp->significance = ws.scs.significance;
-    resp->kernel = static_cast<uint8_t>(stats.algo_used);
-  } else {
-    resp->found = !ws.community.Empty();
-  }
+  const QueryOutcome o = snap.engine(kernels.retrieval)
+                             .Execute({q, req.alpha, req.beta}, kernels.scs, w);
+  resp->found = o.found;
+  resp->num_edges = o.num_edges;
+  resp->result_edges = o.result_edges;
+  resp->significance = o.significance;
+  resp->kernel = o.kernel ? static_cast<uint8_t>(*o.kernel) : kNoKernel;
 }
 
 void Server::Respond(const std::shared_ptr<Connection>& conn, uint32_t seq,

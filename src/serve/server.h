@@ -14,10 +14,8 @@
 
 #include "common/status.h"
 #include "core/bicore_index.h"
-#include "core/cancel.h"
 #include "core/delta_index.h"
 #include "core/query_engine.h"
-#include "core/scs_common.h"
 #include "graph/bipartite_graph.h"
 #include "serve/frame.h"
 #include "serve/memo.h"
@@ -40,7 +38,6 @@ struct ServerOptions {
   /// Applied when a request carries deadline_ms = 0. 0 = no deadline.
   uint32_t default_deadline_ms = 0;
   bool enable_memo = true;
-  std::size_t memo_max_entries = 1 << 16;
   /// Accept kUpdate frames and publish new epochs (the live-update path).
   /// Off, every update answers kUpdatesDisabled and serving is static.
   bool enable_updates = false;
@@ -51,8 +48,6 @@ struct ServerOptions {
   std::string compact_path;
   /// Compact after every N published epochs (0 = only at drain).
   uint32_t compact_every = 0;
-  /// Threads for the index rebuilds at publish (0 = worker count).
-  unsigned publish_threads = 1;
   /// Optional decomposition matching the seed graph; lets the update
   /// writer seed its maintained state without re-peeling (the bundle
   /// restart path). Must outlive the server.
@@ -129,8 +124,8 @@ struct ServeStats {
 /// Threading model: one accept thread, one reader thread per connection
 /// (bounded by max_connections), `num_threads` query workers, one
 /// flusher and one watchdog. Readers decode frames and push tasks onto
-/// the TaskScheduler with connection affinity; workers own a
-/// QueryScratch/ScsWorkspace each and execute with zero steady-state
+/// the TaskScheduler with connection affinity; workers own a QueryWorker
+/// each and run `QueryEngine::Execute` with zero steady-state
 /// allocations; responses flow back through a per-connection sequencer
 /// so pipelined requests are answered strictly in order even when
 /// stealing reorders their execution.
@@ -232,7 +227,9 @@ class Server {
   /// Marks the connection dead and wakes its reader (ditto).
   void KillLocked(Connection* conn);
   WireHealth BuildHealth();
-  void Execute(const WireRequest& req, const Snapshot& snap, unsigned t,
+  /// Runs `req` through `snap`'s engine on worker `w` and maps the
+  /// outcome onto `resp`.
+  void Execute(const WireRequest& req, const Snapshot& snap, QueryWorker& w,
                WireResponse* resp);
   void ReapConnectionsLocked();
 
@@ -245,18 +242,11 @@ class Server {
   TaskScheduler<Task> scheduler_;
 
   // Per-worker pooled query state, indexed by worker id (each slot is
-  // touched by exactly one thread).
-  struct WorkerState {
-    QueryScratch scratch;
-    ScsWorkspace workspace;
-    Subgraph community;
-    ScsResult scs;
-    /// Armed around every Execute (with the request's remaining budget,
-    /// or deadline-free so the watchdog can still cancel). Sampled by the
-    /// watchdog for stuck detection; owned by worker thread t otherwise.
-    CancelToken token;
-  };
-  std::vector<std::unique_ptr<WorkerState>> worker_states_;
+  // touched by exactly one thread). A worker's token is armed around
+  // every Execute (with the request's remaining budget, or deadline-free
+  // so the watchdog can still cancel) and sampled by the watchdog for
+  // stuck detection.
+  std::vector<std::unique_ptr<QueryWorker>> worker_states_;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;

@@ -45,6 +45,18 @@ Snapshot::Snapshot(uint64_t epoch, std::shared_ptr<const void> keepalive,
       bicore_engine_(g, QueryMethod::kBicore, nullptr, bicore),
       delta_engine_(g, QueryMethod::kDelta, delta) {}
 
+const QueryEngine& Snapshot::engine(QueryMethod method) const {
+  switch (method) {
+    case QueryMethod::kOnline:
+      return online_engine_;
+    case QueryMethod::kBicore:
+      return bicore_engine_;
+    case QueryMethod::kDelta:
+      break;
+  }
+  return delta_engine_;
+}
+
 SnapshotManager::SnapshotManager(const BipartiteGraph& g,
                                  const DeltaIndex* delta,
                                  const BicoreIndex* bicore,
@@ -153,7 +165,7 @@ void SnapshotManager::WriterLoop() {
   // SIGTERM guarantee: everything admitted above was applied; publish the
   // uncommitted tail so it is never silently lost, then persist.
   if (ops_since_publish_ > 0) Publish();
-  MaybeCompact(/*at_drain=*/true);
+  MaybeCompact();
 }
 
 void SnapshotManager::Apply(PendingOp& op) {
@@ -217,9 +229,9 @@ uint64_t SnapshotManager::Publish() {
   }
   last_decomp_ = decomp;
   auto delta = std::make_shared<const DeltaIndex>(
-      DeltaIndex::Build(*graph, decomp.get(), options_.publish_threads));
+      DeltaIndex::Build(*graph, decomp.get()));
   auto bicore = std::make_shared<const BicoreIndex>(
-      BicoreIndex::Build(*graph, decomp.get(), options_.publish_threads));
+      BicoreIndex::Build(*graph, decomp.get()));
 
   const uint64_t epoch = Epoch() + 1;
   auto snap = std::make_shared<const Snapshot>(epoch, std::move(graph),
@@ -254,13 +266,12 @@ uint64_t SnapshotManager::Publish() {
   ++commits_since_compact_;
   if (options_.compact_every != 0 &&
       commits_since_compact_ >= options_.compact_every) {
-    MaybeCompact(/*at_drain=*/false);
+    MaybeCompact();
   }
   return epoch;
 }
 
-void SnapshotManager::MaybeCompact(bool at_drain) {
-  (void)at_drain;
+void SnapshotManager::MaybeCompact() {
   if (options_.compact_path.empty() || !dirty_since_compact_) return;
   const std::shared_ptr<const Snapshot> snap = Current();
   if (snap->decomposition() == nullptr) return;  // still the borrowed seed

@@ -71,6 +71,8 @@ class Snapshot {
   const QueryEngine& online_engine() const { return online_engine_; }
   const QueryEngine& bicore_engine() const { return bicore_engine_; }
   const QueryEngine& delta_engine() const { return delta_engine_; }
+  /// The engine of one retrieval path.
+  const QueryEngine& engine(QueryMethod method) const;
 
  private:
   uint64_t epoch_;
@@ -99,8 +101,6 @@ struct SnapshotManagerOptions {
   /// Compact after every N commits (0 = only at drain). Ignored without a
   /// compact_path.
   uint32_t compact_every = 0;
-  /// Threads for the index rebuilds at publish (0 = hardware).
-  unsigned publish_threads = 1;
 };
 
 /// Monotonic writer-side counters.
@@ -198,7 +198,7 @@ class SnapshotManager {
   /// Builds + publishes a new snapshot from the writer state; returns its
   /// epoch.
   uint64_t Publish();
-  void MaybeCompact(bool at_drain);
+  void MaybeCompact();
 
   const BipartiteGraph* seed_graph_;
   const DeltaIndex* seed_delta_;

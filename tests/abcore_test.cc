@@ -172,60 +172,20 @@ TEST_P(OffsetsPropertyTest, BetaOffsetsSymmetricToAlphaOffsets) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OffsetsPropertyTest,
                          ::testing::Values(11, 12, 13, 14));
 
-TEST(OffsetsTest, ScopedWithFullScopeMatchesUnscoped) {
-  BipartiteGraph g = RandomWeightedGraph(30, 30, 200, 21);
-  std::vector<uint8_t> full(g.NumVertices(), 1);
-  for (uint32_t alpha = 1; alpha <= 4; ++alpha) {
-    EXPECT_EQ(ComputeAlphaOffsetsScoped(g, alpha, full),
-              ComputeAlphaOffsets(g, alpha));
-  }
-  for (uint32_t beta = 1; beta <= 4; ++beta) {
-    EXPECT_EQ(ComputeBetaOffsetsScoped(g, beta, full),
-              ComputeBetaOffsets(g, beta));
-  }
-}
-
 TEST(OffsetsTest, WorkspaceOverloadsMatchByValueAcrossReuse) {
-  // One OffsetWorkspace serves many peels (the maintenance pattern): every
-  // result must match the allocating API no matter what the previous call
-  // left in the buffers, including interleaved scoped/unscoped and
-  // alpha/beta calls of different sizes.
+  // One OffsetWorkspace serves many peels (the naive baseline's pattern):
+  // every result must match the allocating API no matter what the
+  // previous call left in the buffers, including interleaved alpha/beta
+  // calls of different sizes.
   BipartiteGraph g = RandomWeightedGraph(30, 30, 200, 23);
   BipartiteGraph small = RandomWeightedGraph(8, 8, 30, 24);
-  std::vector<uint8_t> scope(g.NumVertices(), 0);
-  for (VertexId v = 0; v < g.NumVertices(); v += 2) scope[v] = 1;
   OffsetWorkspace ws;
   for (uint32_t k = 1; k <= 4; ++k) {
     EXPECT_EQ(ComputeAlphaOffsets(g, k, ws), ComputeAlphaOffsets(g, k));
-    EXPECT_EQ(ComputeAlphaOffsetsScoped(g, k, scope, ws),
-              ComputeAlphaOffsetsScoped(g, k, scope));
     EXPECT_EQ(ComputeBetaOffsets(small, k, ws),
               ComputeBetaOffsets(small, k));
-    EXPECT_EQ(ComputeBetaOffsetsScoped(g, k, scope, ws),
-              ComputeBetaOffsetsScoped(g, k, scope));
+    EXPECT_EQ(ComputeBetaOffsets(g, k, ws), ComputeBetaOffsets(g, k));
   }
-}
-
-TEST(OffsetsTest, ScopedRestrictsToInducedSubgraph) {
-  // Scope = upper {0,1} and lower {v0,v1}; the induced subgraph is a
-  // 2×2 biclique regardless of what u2/v2 do outside.
-  BipartiteGraph g = MakeGraph({{0, 0, 1},
-                                {0, 1, 1},
-                                {1, 0, 1},
-                                {1, 1, 1},
-                                {2, 0, 1},
-                                {2, 1, 1},
-                                {2, 2, 1},
-                                {0, 2, 1}});
-  std::vector<uint8_t> scope(g.NumVertices(), 0);
-  scope[0] = scope[1] = 1;           // u0, u1
-  scope[g.LowerId(0)] = scope[g.LowerId(1)] = 1;
-  std::vector<uint32_t> sa = ComputeAlphaOffsetsScoped(g, 2, scope);
-  EXPECT_EQ(sa[0], 2u);
-  EXPECT_EQ(sa[1], 2u);
-  EXPECT_EQ(sa[2], 0u);              // out of scope
-  EXPECT_EQ(sa[g.LowerId(0)], 2u);
-  EXPECT_EQ(sa[g.LowerId(2)], 0u);
 }
 
 // ------------------------------------------------------------ Degeneracy --

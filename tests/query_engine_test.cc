@@ -249,23 +249,23 @@ TEST(QueryEngineTest, WorkStealingScsBatchBitIdenticalToSerial) {
   const std::vector<QueryRequest> requests = MixedRequests(g, 101, 77);
 
   const QueryEngine engine(g, QueryMethod::kDelta, &delta);
-  ScsBatchOptions serial;
+  BatchOptions serial;
   serial.num_threads = 1;
+  serial.scs = ScsAlgo::kAuto;
   serial.keep_communities = true;
-  const ScsBatchResult a = engine.RunScsBatch(requests, serial);
+  const BatchResult a = engine.RunBatch(requests, serial);
   for (const unsigned threads : {2u, 4u}) {
-    ScsBatchOptions ws = serial;
+    BatchOptions ws = serial;
     ws.num_threads = threads;
-    const ScsBatchResult b = engine.RunScsBatch(requests, ws);
+    const BatchResult b = engine.RunBatch(requests, ws);
     ASSERT_EQ(b.num_threads_used, threads);
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       ASSERT_EQ(a.outcomes[i].found, b.outcomes[i].found) << i;
-      ASSERT_EQ(a.outcomes[i].community_edges, b.outcomes[i].community_edges)
-          << i;
+      ASSERT_EQ(a.outcomes[i].num_edges, b.outcomes[i].num_edges) << i;
       ASSERT_EQ(a.outcomes[i].result_edges, b.outcomes[i].result_edges) << i;
       ASSERT_EQ(a.outcomes[i].significance, b.outcomes[i].significance) << i;
-      ASSERT_EQ(a.outcomes[i].algo_used, b.outcomes[i].algo_used) << i;
+      ASSERT_EQ(a.outcomes[i].kernel, b.outcomes[i].kernel) << i;
       ASSERT_EQ(a.communities[i].edges, b.communities[i].edges) << i;
     }
     EXPECT_EQ(a.stats.num_found, b.stats.num_found);
@@ -399,73 +399,6 @@ TEST(QueryEngineTest, ScsCancelMidProbeLeavesWorkspaceReusable) {
     }
     EXPECT_TRUE(exercised)
         << "no query abandoned mid-probe for algo " << static_cast<int>(algo);
-  }
-}
-
-// Deadline matrix: a 1 ms budget over the whole batch API answers every
-// request (empty on overrun, full otherwise), and the engine re-engaged
-// without a deadline is bit-identical to a never-deadlined engine — the
-// token leaves nothing armed behind.
-TEST(QueryEngineTest, DeadlineMatrixAnswersEverythingAndReengagesClean) {
-  const BipartiteGraph g = RandomWeightedGraph(80, 80, 900, 31);
-  const DeltaIndex delta = DeltaIndex::Build(g);
-  const BicoreIndex bicore = BicoreIndex::Build(g);
-  const std::vector<QueryRequest> requests = MixedRequests(g, 200, 55);
-
-  for (const QueryMethod method :
-       {QueryMethod::kDelta, QueryMethod::kBicore, QueryMethod::kOnline}) {
-    const QueryEngine engine(g, method, &delta, &bicore);
-    BatchOptions hurried;
-    hurried.num_threads = 2;
-    hurried.deadline_ms = 1;
-    const BatchResult rushed = engine.RunBatch(requests, hurried);
-    ASSERT_EQ(rushed.outcomes.size(), requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (rushed.outcomes[i].deadline_exceeded) {
-        EXPECT_EQ(rushed.outcomes[i].num_edges, 0u)
-            << QueryMethodName(method) << " i=" << i;
-      }
-    }
-
-    // The same engine without a deadline matches a fresh undeadlined run.
-    BatchOptions relaxed;
-    relaxed.num_threads = 2;
-    const BatchResult a = engine.RunBatch(requests, relaxed);
-    const QueryEngine fresh_engine(g, method, &delta, &bicore);
-    const BatchResult b = fresh_engine.RunBatch(requests, relaxed);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_EQ(a.outcomes[i].num_edges, b.outcomes[i].num_edges)
-          << QueryMethodName(method) << " i=" << i;
-      ASSERT_EQ(a.outcomes[i].touched_arcs, b.outcomes[i].touched_arcs)
-          << QueryMethodName(method) << " i=" << i;
-      EXPECT_FALSE(a.outcomes[i].deadline_exceeded);
-    }
-  }
-
-  // Same matrix over the SCS batch driver.
-  const QueryEngine engine(g, QueryMethod::kDelta, &delta);
-  ScsBatchOptions hurried;
-  hurried.num_threads = 2;
-  hurried.deadline_ms = 1;
-  const ScsBatchResult rushed = engine.RunScsBatch(requests, hurried);
-  ASSERT_EQ(rushed.outcomes.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (rushed.outcomes[i].deadline_exceeded) {
-      EXPECT_FALSE(rushed.outcomes[i].found) << i;
-      EXPECT_EQ(rushed.outcomes[i].result_edges, 0u) << i;
-    }
-  }
-  ScsBatchOptions relaxed;
-  relaxed.num_threads = 2;
-  const ScsBatchResult a = engine.RunScsBatch(requests, relaxed);
-  const ScsBatchResult b =
-      QueryEngine(g, QueryMethod::kDelta, &delta).RunScsBatch(requests,
-                                                              relaxed);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(a.outcomes[i].found, b.outcomes[i].found) << i;
-    ASSERT_EQ(a.outcomes[i].result_edges, b.outcomes[i].result_edges) << i;
-    ASSERT_EQ(a.outcomes[i].significance, b.outcomes[i].significance) << i;
-    EXPECT_FALSE(a.outcomes[i].deadline_exceeded);
   }
 }
 

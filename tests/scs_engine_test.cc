@@ -208,11 +208,11 @@ TEST(ScsEngineTest, BatchesDeterministicAcrossThreadCountsAndMatchSerial) {
 
   for (const ScsAlgo algo : {ScsAlgo::kAuto, ScsAlgo::kPeel, ScsAlgo::kExpand,
                              ScsAlgo::kBinary}) {
-    ScsBatchOptions options;
-    options.algo = algo;
+    BatchOptions options;
+    options.scs = algo;
     options.keep_communities = true;
     options.num_threads = 1;
-    const ScsBatchResult serial = engine.RunScsBatch(requests, options);
+    const BatchResult serial = engine.RunBatch(requests, options);
     ASSERT_EQ(serial.outcomes.size(), requests.size());
 
     // Serial batch == direct per-query calls.
@@ -225,12 +225,12 @@ TEST(ScsEngineTest, BatchesDeterministicAcrossThreadCountsAndMatchSerial) {
       const ScsResult direct = ScsQuery(g, c, r.q, r.alpha, r.beta, algo, {},
                                         &stats, &scratch, &ws);
       EXPECT_EQ(serial.outcomes[i].found, direct.found) << i;
-      EXPECT_EQ(serial.outcomes[i].community_edges, c.edges.size()) << i;
+      EXPECT_EQ(serial.outcomes[i].num_edges, c.edges.size()) << i;
       EXPECT_EQ(serial.outcomes[i].result_edges, direct.community.edges.size())
           << i;
       EXPECT_DOUBLE_EQ(serial.outcomes[i].significance, direct.significance)
           << i;
-      EXPECT_EQ(serial.outcomes[i].algo_used, stats.algo_used) << i;
+      EXPECT_EQ(serial.outcomes[i].kernel, stats.algo_used) << i;
       // The worker's per-query extraction takes the same code path, so the
       // retained community is byte-identical, not merely set-equal.
       EXPECT_EQ(serial.communities[i].edges, direct.community.edges) << i;
@@ -238,14 +238,14 @@ TEST(ScsEngineTest, BatchesDeterministicAcrossThreadCountsAndMatchSerial) {
 
     for (const unsigned threads : {2u, 5u}) {
       options.num_threads = threads;
-      const ScsBatchResult mt = engine.RunScsBatch(requests, options);
+      const BatchResult mt = engine.RunBatch(requests, options);
       ASSERT_EQ(mt.outcomes.size(), serial.outcomes.size());
       for (std::size_t i = 0; i < requests.size(); ++i) {
         EXPECT_EQ(mt.outcomes[i].found, serial.outcomes[i].found);
         EXPECT_EQ(mt.outcomes[i].result_edges, serial.outcomes[i].result_edges);
         EXPECT_DOUBLE_EQ(mt.outcomes[i].significance,
                          serial.outcomes[i].significance);
-        EXPECT_EQ(mt.outcomes[i].algo_used, serial.outcomes[i].algo_used);
+        EXPECT_EQ(mt.outcomes[i].kernel, serial.outcomes[i].kernel);
         EXPECT_EQ(mt.outcomes[i].validations, serial.outcomes[i].validations);
         EXPECT_EQ(mt.outcomes[i].incremental_probes,
                   serial.outcomes[i].incremental_probes);

@@ -269,6 +269,10 @@ TEST(ProtocolTest, RejectsMalformedResponse) {
   EXPECT_FALSE(corrupt(2, 9).ok());      // version
   EXPECT_FALSE(corrupt(3, 200).ok());    // status range
   EXPECT_FALSE(corrupt(4, 0).ok());      // type
+  EXPECT_FALSE(corrupt(5, 4).ok());      // kernel: ScsAlgo or kNoKernel
+  EXPECT_FALSE(corrupt(5, 0xfe).ok());
+  EXPECT_TRUE(corrupt(5, 3).ok());
+  EXPECT_EQ(out.kernel, 3u);
   EXPECT_FALSE(corrupt(6, 2).ok());  // found flag
   EXPECT_FALSE(corrupt(7, 7).ok());  // memo flag
   // Bytes 24-31 carry the epoch now: any value decodes.

@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "abcore/offsets.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
+#include "core/query_engine.h"
 #include "io/index_bundle.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -73,22 +75,47 @@ struct Harness {
   }
 };
 
+// Wire parity for all seven methods: every daemon answer equals the
+// offline `RunBatch` with the same wire-method → kernel mapping
+// (found, |C|, |R|, the bits of f(R) and the resolved kernel), and every
+// |C| equals the direct I_δ retrieval.
 TEST(ServeServerTest, AnswersMatchDirectQueriesForEveryMethod) {
   Harness h;
   Client client = h.Connect();
+  std::vector<QueryRequest> requests;
   for (VertexId q = 0; q < h.graph.NumVertices(); q += 7) {
-    for (uint32_t ab = 1; ab <= 3; ++ab) {
-      const Subgraph expect = h.delta.QueryCommunity(q, ab, ab);
-      for (const WireMethod method :
-           {WireMethod::kOnline, WireMethod::kBicore, WireMethod::kDelta}) {
-        WireResponse resp;
-        ASSERT_TRUE(client.Call(h.Request(q, ab, ab, method), &resp).ok());
-        ASSERT_EQ(resp.status, WireStatus::kOk);
-        ASSERT_EQ(resp.num_edges, expect.edges.size())
-            << "q=" << q << " ab=" << ab
-            << " method=" << WireMethodName(method);
-        ASSERT_EQ(resp.found, !expect.edges.empty());
-      }
+    for (uint32_t ab = 1; ab <= 3; ++ab) requests.push_back({q, ab, ab});
+  }
+  for (uint8_t m = 0; m < kNumWireMethods; ++m) {
+    const WireMethod method = static_cast<WireMethod>(m);
+    const WireKernels kernels = WireMethodKernels(method);
+    const QueryEngine engine(h.graph, kernels.retrieval, &h.delta, &h.bicore);
+    BatchOptions options;
+    options.scs = kernels.scs;
+    const BatchResult offline = engine.RunBatch(requests, options);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const QueryRequest& r = requests[i];
+      const QueryOutcome& o = offline.outcomes[i];
+      WireResponse resp;
+      ASSERT_TRUE(
+          client.Call(h.Request(r.q, r.alpha, r.beta, method), &resp).ok());
+      ASSERT_EQ(resp.status, WireStatus::kOk);
+      const std::string at = std::string("method=") + WireMethodName(method) +
+                             " q=" + std::to_string(r.q) +
+                             " ab=" + std::to_string(r.alpha);
+      ASSERT_EQ(resp.num_edges,
+                h.delta.QueryCommunity(r.q, r.alpha, r.beta).edges.size())
+          << at;
+      EXPECT_EQ(resp.found, o.found) << at;
+      EXPECT_EQ(resp.num_edges, o.num_edges) << at;
+      EXPECT_EQ(resp.result_edges, o.result_edges) << at;
+      EXPECT_EQ(std::bit_cast<uint64_t>(resp.significance),
+                std::bit_cast<uint64_t>(o.significance))
+          << at;
+      EXPECT_EQ(resp.kernel,
+                o.kernel ? static_cast<uint8_t>(*o.kernel) : kNoKernel)
+          << at;
+      EXPECT_EQ(o.kernel.has_value(), IsScsMethod(method)) << at;
     }
   }
 }

@@ -28,6 +28,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -523,64 +524,65 @@ abcs::Status ParseBatchFile(const std::string& path, bool default_lower,
   });
 }
 
-// Batch of full two-step SCS queries: retrieval through the delta index,
-// extraction by `algo` (kAuto = per-query planner). stdout carries only
-// thread-count-invariant data; timing and the phase/kernel breakdown go to
-// stderr.
-int RunScsBatchQueries(const QueryArgs& args, const Session& session,
-                       const std::vector<abcs::QueryRequest>& requests,
-                       abcs::ScsAlgo algo) {
-  const abcs::BipartiteGraph& g = *session.graph;
-  abcs::DeltaIndex owned_delta;
-  const abcs::DeltaIndex* delta = GetIndex(session, &owned_delta);
-
-  const abcs::QueryEngine engine(g, abcs::QueryMethod::kDelta, delta);
-  abcs::ScsBatchOptions options;
-  options.num_threads = args.num_threads;
-  options.algo = algo;
-  const abcs::ScsBatchResult batch = engine.RunScsBatch(requests, options);
-
-  std::printf("# batch of %zu scs queries, algo=%s\n", requests.size(),
-              abcs::ScsAlgoName(algo));
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const abcs::QueryRequest& r = requests[i];
-    const abcs::ScsOutcome& o = batch.outcomes[i];
-    const bool lower = !g.IsUpper(r.q);
-    if (o.found) {
-      std::printf("%zu %s%u (%u,%u) |C|=%u |R|=%u f=%g kernel=%s\n", i,
-                  lower ? "l" : "u", lower ? r.q - g.NumUpper() : r.q,
-                  r.alpha, r.beta, o.community_edges, o.result_edges,
-                  o.significance, abcs::ScsAlgoName(o.algo_used));
-    } else {
-      std::printf("%zu %s%u (%u,%u) |C|=%u none\n", i, lower ? "l" : "u",
-                  lower ? r.q - g.NumUpper() : r.q, r.alpha, r.beta,
-                  o.community_edges);
-    }
+/// Prints the header line of a `query --batch` / `client --batch` run.
+void PrintBatchHeader(std::size_t n, abcs::serve::WireMethod method) {
+  const std::optional<abcs::ScsAlgo> scs =
+      abcs::serve::WireMethodKernels(method).scs;
+  if (scs) {
+    std::printf("# batch of %zu scs queries, algo=%s\n", n,
+                abcs::ScsAlgoName(*scs));
+  } else {
+    std::printf("# batch of %zu queries, method=%s\n", n,
+                abcs::serve::WireMethodName(method));
   }
-  const abcs::ScsBatchStats& s = batch.stats;
-  std::printf("# found=%llu total_C=%llu total_R=%llu\n",
-              static_cast<unsigned long long>(s.num_found),
-              static_cast<unsigned long long>(s.total_community_edges),
-              static_cast<unsigned long long>(s.total_result_edges));
-  std::fprintf(
-      stderr,
-      "# threads=%u wall=%.3es qps=%.1f p50=%.3es p99=%.3es "
-      "retrieve=%.3es scs=%.3es kernels: peel=%llu expand=%llu binary=%llu "
-      "validations=%llu incremental_probes=%llu\n",
-      batch.num_threads_used, batch.wall_seconds, batch.QueriesPerSecond(),
-      s.p50_seconds, s.p99_seconds, s.retrieve_seconds,
-      s.total_seconds - s.retrieve_seconds,
-      static_cast<unsigned long long>(
-          s.algo_counts[static_cast<int>(abcs::ScsAlgo::kPeel)]),
-      static_cast<unsigned long long>(
-          s.algo_counts[static_cast<int>(abcs::ScsAlgo::kExpand)]),
-      static_cast<unsigned long long>(
-          s.algo_counts[static_cast<int>(abcs::ScsAlgo::kBinary)]),
-      static_cast<unsigned long long>(s.validations),
-      static_cast<unsigned long long>(s.incremental_probes));
-  return 0;
 }
 
+/// Prints one answer line of `query --batch` / `client`: `|C| |R| f
+/// kernel` (or `|C| none`) for the scs-* methods, `|E|` otherwise, plus
+/// the retrieval's `touched=` arcs with `touched` (the offline side; the
+/// wire carries no work counters).
+void PrintAnswer(std::size_t i, const BatchQuery& b, bool scs,
+                 const abcs::QueryOutcome& o, bool touched) {
+  std::printf("%zu %s%u (%u,%u) ", i, b.lower ? "l" : "u", b.q, b.alpha,
+              b.beta);
+  if (!scs) {
+    std::printf("|E|=%u", o.num_edges);
+    if (touched) {
+      std::printf(" touched=%llu",
+                  static_cast<unsigned long long>(o.touched_arcs));
+    }
+  } else if (o.found) {
+    std::printf("|C|=%u |R|=%u f=%g kernel=%s", o.num_edges, o.result_edges,
+                o.significance,
+                abcs::ScsAlgoName(o.kernel.value_or(abcs::ScsAlgo::kAuto)));
+  } else {
+    std::printf("|C|=%u none", o.num_edges);
+  }
+  std::printf("\n");
+}
+
+/// Prints the aggregate line of a batch run (`touched_arcs=` as above).
+void PrintBatchSummary(bool scs, const abcs::BatchStats& s, bool touched) {
+  if (scs) {
+    std::printf("# found=%llu total_C=%llu total_R=%llu\n",
+                static_cast<unsigned long long>(s.num_found),
+                static_cast<unsigned long long>(s.total_edges),
+                static_cast<unsigned long long>(s.total_result_edges));
+    return;
+  }
+  std::printf("# nonempty=%llu total_edges=%llu",
+              static_cast<unsigned long long>(s.num_found),
+              static_cast<unsigned long long>(s.total_edges));
+  if (touched) {
+    std::printf(" touched_arcs=%llu",
+                static_cast<unsigned long long>(s.touched_arcs));
+  }
+  std::printf("\n");
+}
+
+// One `RunBatch` over the method's retrieval path and SCS kernel. stdout
+// carries only thread-count-invariant data (the smoke test diffs runs at
+// different --threads); timing and the kernel breakdown go to stderr.
 int CmdQueryBatch(const QueryArgs& args) {
   Session session;
   abcs::Status st = LoadSession(args, &session);
@@ -596,11 +598,7 @@ int CmdQueryBatch(const QueryArgs& args) {
 
   const abcs::serve::WireKernels kernels =
       abcs::serve::WireMethodKernels(args.method);
-  if (abcs::serve::IsScsMethod(args.method)) {
-    return RunScsBatchQueries(args, session, requests, kernels.scs);
-  }
   const abcs::QueryMethod method = kernels.retrieval;
-
   abcs::DeltaIndex owned_delta;
   abcs::BicoreIndex owned_bicore;
   const abcs::DeltaIndex* delta = &owned_delta;
@@ -624,30 +622,34 @@ int CmdQueryBatch(const QueryArgs& args) {
   const abcs::QueryEngine engine(g, method, delta, bicore);
   abcs::BatchOptions options;
   options.num_threads = args.num_threads;
+  options.scs = kernels.scs;
   const abcs::BatchResult batch = engine.RunBatch(requests, options);
 
-  // stdout carries only thread-count-invariant data (the smoke test diffs
-  // runs at different --threads); timing goes to stderr.
-  std::printf("# batch of %zu queries, method=%s\n", requests.size(),
-              abcs::QueryMethodName(engine.method()));
+  const bool scs = kernels.scs.has_value();
+  PrintBatchHeader(requests.size(), args.method);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const abcs::QueryRequest& r = requests[i];
-    const abcs::QueryOutcome& o = batch.outcomes[i];
-    const bool lower = !g.IsUpper(r.q);
-    std::printf("%zu %s%u (%u,%u) |E|=%u touched=%llu\n", i,
-                lower ? "l" : "u", lower ? r.q - g.NumUpper() : r.q, r.alpha,
-                r.beta, o.num_edges,
-                static_cast<unsigned long long>(o.touched_arcs));
+    PrintAnswer(i, lines[i], scs, batch.outcomes[i], /*touched=*/true);
   }
-  std::printf("# nonempty=%llu total_edges=%llu touched_arcs=%llu\n",
-              static_cast<unsigned long long>(batch.stats.num_nonempty),
-              static_cast<unsigned long long>(batch.stats.total_edges),
-              static_cast<unsigned long long>(batch.stats.touched_arcs));
-  std::fprintf(stderr,
-               "# threads=%u wall=%.3es qps=%.1f p50=%.3es p99=%.3es\n",
+  PrintBatchSummary(scs, batch.stats, /*touched=*/true);
+  const abcs::BatchStats& s = batch.stats;
+  std::fprintf(stderr, "# threads=%u wall=%.3es qps=%.1f p50=%.3es p99=%.3es",
                batch.num_threads_used, batch.wall_seconds,
-               batch.QueriesPerSecond(), batch.stats.p50_seconds,
-               batch.stats.p99_seconds);
+               batch.QueriesPerSecond(), s.p50_seconds, s.p99_seconds);
+  if (scs) {
+    const auto count = [&](abcs::ScsAlgo algo) {
+      return static_cast<unsigned long long>(
+          s.kernel_counts[static_cast<int>(algo)]);
+    };
+    std::fprintf(stderr,
+                 " retrieve=%.3es scs=%.3es kernels: peel=%llu expand=%llu "
+                 "binary=%llu validations=%llu incremental_probes=%llu",
+                 s.retrieve_seconds, s.total_seconds - s.retrieve_seconds,
+                 count(abcs::ScsAlgo::kPeel), count(abcs::ScsAlgo::kExpand),
+                 count(abcs::ScsAlgo::kBinary),
+                 static_cast<unsigned long long>(s.validations),
+                 static_cast<unsigned long long>(s.incremental_probes));
+  }
+  std::fprintf(stderr, "\n");
   return 0;
 }
 
@@ -1057,44 +1059,32 @@ abcs::serve::WireRequest WireRequestOf(const ClientArgs& args,
   return req;
 }
 
-const char* ClientKernelName(uint8_t kernel) {
-  switch (kernel) {
-    case 1:
-      return "peel";
-    case 2:
-      return "expand";
-    case 3:
-      return "binary";
-    default:
-      return "auto";
+/// A daemon answer as the outcome the batch printers take. The decoder
+/// admits only ScsAlgo values and kNoKernel as the kernel byte.
+abcs::QueryOutcome OutcomeOf(const abcs::serve::WireResponse& resp) {
+  abcs::QueryOutcome o;
+  o.found = resp.found;
+  o.num_edges = resp.num_edges;
+  o.result_edges = resp.result_edges;
+  o.significance = resp.significance;
+  if (resp.kernel != abcs::serve::kNoKernel) {
+    o.kernel = static_cast<abcs::ScsAlgo>(resp.kernel);
   }
+  return o;
 }
 
-// Prints one response line in the `abcs query --batch` stdout format (minus
-// the touched-arcs counters, which the wire protocol deliberately omits).
+// Prints one daemon answer through the `abcs query --batch` line printer
+// (without touched arcs), or its error status.
 void PrintClientResponse(std::size_t i, const abcs::serve::WireRequest& req,
                          const abcs::serve::WireResponse& resp) {
+  const BatchQuery b{req.q, req.alpha, req.beta, req.lower_side};
   if (resp.status != abcs::serve::WireStatus::kOk) {
-    std::printf("%zu %s%u (%u,%u) error=%s\n", i, req.lower_side ? "l" : "u",
-                req.q, req.alpha, req.beta,
-                abcs::serve::WireStatusName(resp.status));
+    std::printf("%zu %s%u (%u,%u) error=%s\n", i, b.lower ? "l" : "u", b.q,
+                b.alpha, b.beta, abcs::serve::WireStatusName(resp.status));
     return;
   }
-  if (abcs::serve::IsScsMethod(req.method)) {
-    if (resp.found) {
-      std::printf("%zu %s%u (%u,%u) |C|=%u |R|=%u f=%g kernel=%s\n", i,
-                  req.lower_side ? "l" : "u", req.q, req.alpha, req.beta,
-                  resp.num_edges, resp.result_edges, resp.significance,
-                  ClientKernelName(resp.kernel));
-    } else {
-      std::printf("%zu %s%u (%u,%u) |C|=%u none\n", i,
-                  req.lower_side ? "l" : "u", req.q, req.alpha, req.beta,
-                  resp.num_edges);
-    }
-  } else {
-    std::printf("%zu %s%u (%u,%u) |E|=%u\n", i, req.lower_side ? "l" : "u",
-                req.q, req.alpha, req.beta, resp.num_edges);
-  }
+  PrintAnswer(i, b, abcs::serve::IsScsMethod(req.method), OutcomeOf(resp),
+              /*touched=*/false);
 }
 
 // Prints transport telemetry when anything eventful happened (stderr, so
@@ -1121,17 +1111,9 @@ int RunClientBatch(const ClientArgs& args,
   if (!st.ok()) return Fail(st);
 
   const bool scs = abcs::serve::IsScsMethod(args.method);
-  if (scs) {
-    // Matches RunScsBatchQueries' header.
-    const abcs::ScsAlgo algo = abcs::serve::WireMethodKernels(args.method).scs;
-    std::printf("# batch of %zu scs queries, algo=%s\n", requests.size(),
-                abcs::ScsAlgoName(algo));
-  } else {
-    std::printf("# batch of %zu queries, method=%s\n", requests.size(),
-                abcs::serve::WireMethodName(args.method));
-  }
-  uint64_t errors = 0, nonempty = 0, total_edges = 0;
-  uint64_t found = 0, total_c = 0, total_r = 0, memo_hits = 0;
+  PrintBatchHeader(requests.size(), args.method);
+  uint64_t errors = 0, memo_hits = 0;
+  abcs::BatchStats stats;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const abcs::serve::WireResponse& resp = responses[i];
     PrintClientResponse(i, requests[i], resp);
@@ -1140,25 +1122,11 @@ int RunClientBatch(const ClientArgs& args,
       continue;
     }
     memo_hits += resp.memo_hit ? 1 : 0;
-    if (scs) {
-      found += resp.found ? 1 : 0;
-      total_c += resp.num_edges;
-      total_r += resp.result_edges;
-    } else {
-      nonempty += resp.found ? 1 : 0;
-      total_edges += resp.num_edges;
-    }
+    stats.num_found += resp.found ? 1 : 0;
+    stats.total_edges += resp.num_edges;
+    stats.total_result_edges += resp.result_edges;
   }
-  if (scs) {
-    std::printf("# found=%llu total_C=%llu total_R=%llu\n",
-                static_cast<unsigned long long>(found),
-                static_cast<unsigned long long>(total_c),
-                static_cast<unsigned long long>(total_r));
-  } else {
-    std::printf("# nonempty=%llu total_edges=%llu\n",
-                static_cast<unsigned long long>(nonempty),
-                static_cast<unsigned long long>(total_edges));
-  }
+  PrintBatchSummary(scs, stats, /*touched=*/false);
   std::fprintf(stderr, "# errors=%llu memo_hits=%llu\n",
                static_cast<unsigned long long>(errors),
                static_cast<unsigned long long>(memo_hits));
