@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Serve-tier soak smoke: boots `abcs serve` on a generated BS graph, proves
-# the daemon answers every method bit-identically to the offline batch
-# runner, hammers it with concurrent clients for a sustained window, then
-# SIGTERMs it and asserts a clean drain (exit 0, zero dropped requests).
+# Serve-tier soak smoke: boots `abcs serve` on a generated BS edge list
+# (the startup path that builds the decomposition and both indexes),
+# proves the daemon answers every method bit-identically to the offline
+# batch runner over the saved bundle, hammers it with concurrent clients
+# for a sustained window, then SIGTERMs it and asserts a clean drain
+# (exit 0, zero dropped requests). A second daemon serves the bundle with
+# live updates; static `--bundle` serving is covered by serve_chaos.sh.
 #
 # Usage: scripts/serve_soak.sh [path/to/abcs]
 #   SOAK_SECONDS  soak window per run (default 30)
@@ -39,8 +42,8 @@ echo "== generating dataset and index"
 "$ABCS" gen BS "$GRAPH" >/dev/null
 "$ABCS" index "$GRAPH" "$BUNDLE" >/dev/null
 
-echo "== starting daemon (threads=$SOAK_THREADS)"
-"$ABCS" serve --bundle "$BUNDLE" --port 0 --port-file "$PORT_FILE" \
+echo "== starting daemon from the edge list (threads=$SOAK_THREADS)"
+"$ABCS" serve "$GRAPH" --port 0 --port-file "$PORT_FILE" \
   --threads "$SOAK_THREADS" 2>"$SERVER_LOG" &
 SERVER_PID=$!
 

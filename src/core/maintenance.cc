@@ -1,7 +1,6 @@
 #include "core/maintenance.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <unordered_map>
 
@@ -385,36 +384,6 @@ Status DynamicDeltaIndex::UpdateWeight(VertexId u, VertexId v, Weight w) {
     }
   }
   return Status::NotFound("edge does not exist");
-}
-
-Subgraph DynamicDeltaIndex::QueryCommunity(VertexId q, uint32_t alpha,
-                                           uint32_t beta) const {
-  Subgraph result;
-  if (q >= NumVertices() || alpha == 0 || beta == 0) return result;
-  if (std::min(alpha, beta) > delta_) return result;
-
-  const bool use_alpha = alpha <= beta;
-  const std::vector<uint32_t>& value =
-      use_alpha ? sa_[alpha - 1] : sb_[beta - 1];
-  const uint32_t need = use_alpha ? beta : alpha;
-  if (value[q] < need) return result;
-
-  std::vector<uint8_t> visited(NumVertices(), 0);
-  std::deque<VertexId> queue{q};
-  visited[q] = 1;
-  while (!queue.empty()) {
-    VertexId x = queue.front();
-    queue.pop_front();
-    for (const Arc& a : adj_[x]) {
-      if (value[a.to] < need) continue;
-      if (x >= num_upper_) result.edges.push_back(a.eid);
-      if (!visited[a.to]) {
-        visited[a.to] = 1;
-        queue.push_back(a.to);
-      }
-    }
-  }
-  return result;
 }
 
 BipartiteGraph DynamicDeltaIndex::ExportGraph() const {

@@ -9,7 +9,6 @@
 #include "abcore/offsets.h"
 #include "abcore/peel_kernel.h"
 #include "common/status.h"
-#include "core/subgraph.h"
 #include "graph/bipartite_graph.h"
 
 namespace abcs {
@@ -38,10 +37,9 @@ namespace abcs {
 /// δ itself may grow or shrink by one per update; growing triggers a full
 /// offset computation for the single new level.
 ///
-/// Queries run like `Qopt` but filter neighbours through the offset arrays
-/// (touching all arcs of community vertices, not the sorted-list optimal
-/// form — the static `DeltaIndex` keeps that; this class trades a small
-/// query overhead for updatability).
+/// The class answers no queries itself: a reader is served by a static
+/// `DeltaIndex` built from `ExportGraph()` and `ExportDecomposition()`, as
+/// every published serving epoch is (src/serve/snapshot.h).
 ///
 /// Correctness of the incremental rules is enforced by property tests that
 /// replay random update streams against full recomputation
@@ -99,13 +97,6 @@ class DynamicDeltaIndex {
   /// Returns the accumulated change summary and resets the accumulator.
   /// Called by the serve writer at each publish boundary.
   UpdateSummary DrainSummary();
-
-  /// The (α,β)-community of q in the current graph. Edge ids refer to this
-  /// index's internal edge table (see `GetEdge`).
-  Subgraph QueryCommunity(VertexId q, uint32_t alpha, uint32_t beta) const;
-
-  /// Internal edge lookup for ids returned by QueryCommunity.
-  const Edge& GetEdge(EdgeId e) const { return edges_[e]; }
 
   /// Current offset values (1-based τ ≤ delta()); exposed for tests.
   uint32_t OffsetAlpha(uint32_t tau, VertexId v) const {

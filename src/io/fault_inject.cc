@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace abcs {
 
@@ -29,12 +31,38 @@ void FaultInjector::Arm(const std::string& point, Action action,
   fault_detail::g_enabled.store(true, std::memory_order_release);
 }
 
+namespace {
+
+/// Arms `point` or `point=short:N`, N a byte count parsed to its end.
+Status ArmCrashSpec(FaultInjector& injector, const std::string& spec) {
+  const std::size_t eq = spec.find('=');
+  const std::string point = spec.substr(0, eq);
+  if (eq == std::string::npos) {
+    injector.Arm(point, FaultInjector::Action::kCrash);
+    return Status::OK();
+  }
+  const std::string_view what = std::string_view(spec).substr(eq + 1);
+  if (!point.empty() && what.starts_with("short:")) {
+    const char* last = what.data() + what.size();
+    uint64_t bytes = 0;
+    const auto [end, ec] = std::from_chars(what.data() + 6, last, bytes);
+    if (ec == std::errc() && end == last) {
+      injector.Arm(point, FaultInjector::Action::kShortWrite, bytes);
+      return Status::OK();
+    }
+  }
+  return Status::InvalidArgument(
+      "crash fault spec must be point or point=short:N: " + spec);
+}
+
+}  // namespace
+
 void FaultInjector::ArmFromEnv() {
   const char* env = std::getenv("ABCS_FAULT_INJECT");
   if (env == nullptr || *env == '\0') return;
   // Comma-separated specs; "net."- and "scrub."-prefixed points arm the
   // (non-crashing) counting injector, anything else the crash injector.
-  // The crash injector holds a single fault, so the last non-net spec wins.
+  // The crash injector holds a single fault, so the last crash spec wins.
   const std::string all(env);
   std::size_t start = 0;
   while (start <= all.size()) {
@@ -43,28 +71,14 @@ void FaultInjector::ArmFromEnv() {
     const std::string s = all.substr(start, comma - start);
     start = comma + 1;
     if (s.empty()) continue;
-    if (s.rfind("net.", 0) == 0 || s.rfind("scrub.", 0) == 0) {
-      // A malformed net spec is a test-harness bug; fail loudly rather
-      // than silently running the chaos soak with nothing armed.
-      const Status st = NetFaultInjector::Instance().ArmSpec(s);
-      if (!st.ok()) {
-        std::fprintf(stderr, "ABCS_FAULT_INJECT: %s\n", st.ToString().c_str());
-        ::_exit(2);
-      }
-      continue;
-    }
-    const std::size_t eq = s.find('=');
-    if (eq == std::string::npos) {
-      Arm(s, Action::kCrash);
-      continue;
-    }
-    const std::string point = s.substr(0, eq);
-    const std::string what = s.substr(eq + 1);
-    if (what.rfind("short:", 0) == 0) {
-      Arm(point, Action::kShortWrite,
-          std::strtoull(what.c_str() + 6, nullptr, 10));
-    } else {
-      Arm(point, Action::kCrash);
+    // A malformed spec is a test-harness bug; fail loudly rather than
+    // silently running the soak with nothing (or something else) armed.
+    const Status st = s.rfind("net.", 0) == 0 || s.rfind("scrub.", 0) == 0
+                          ? NetFaultInjector::Instance().ArmSpec(s)
+                          : ArmCrashSpec(*this, s);
+    if (!st.ok()) {
+      std::fprintf(stderr, "ABCS_FAULT_INJECT: %s\n", st.ToString().c_str());
+      ::_exit(2);
     }
   }
 }

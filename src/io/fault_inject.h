@@ -40,7 +40,8 @@ class FaultInjector {
   /// kShortWrite (how much of the labelled write survives).
   void Arm(const std::string& point, Action action, uint64_t short_bytes = 0);
 
-  /// Parses ABCS_FAULT_INJECT (see class comment). No-op when unset.
+  /// Parses ABCS_FAULT_INJECT (see class comment). No-op when unset; a
+  /// spec of any other shape exits the process with status 2.
   void ArmFromEnv();
 
   void Disarm();

@@ -62,8 +62,9 @@ struct Server::Connection {
   }
 };
 
-Server::Server(const BipartiteGraph& g, const DeltaIndex* delta,
-               const BicoreIndex* bicore, const ServerOptions& options)
+Server::Server(const BipartiteGraph& g, const BicoreDecomposition& decomp,
+               const DeltaIndex& delta, const BicoreIndex& bicore,
+               const ServerOptions& options)
     : options_(options),
       resolved_threads_(options.num_threads
                             ? options.num_threads
@@ -74,8 +75,8 @@ Server::Server(const BipartiteGraph& g, const DeltaIndex* delta,
   smo.update_queue = options.update_queue;
   smo.compact_path = options.compact_path;
   smo.compact_every = options.compact_every;
-  snapshots_ = std::make_unique<SnapshotManager>(g, delta, bicore,
-                                                 options.seed_decomp, smo);
+  snapshots_ =
+      std::make_unique<SnapshotManager>(g, &delta, &bicore, &decomp, smo);
   worker_states_.reserve(resolved_threads_);
   for (unsigned t = 0; t < resolved_threads_; ++t) {
     worker_states_.push_back(std::make_unique<QueryWorker>());
@@ -454,12 +455,6 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     Respond(conn, seq, resp);
     return;
   }
-  if (req.method == WireMethod::kBicore &&
-      task.snap->bicore_index() == nullptr) {
-    resp.status = WireStatus::kBadRequest;
-    Respond(conn, seq, resp);
-    return;
-  }
   if (draining_.load()) {
     resp.status = WireStatus::kShuttingDown;
     Respond(conn, seq, resp);
@@ -831,12 +826,7 @@ void Server::ScrubPass() {
                  rst.ToString().c_str());
     return;
   }
-  std::shared_ptr<const IndexBundle> owner(std::move(recovered));
-  const BipartiteGraph& g = owner->graph();
-  const DeltaIndex* delta = &owner->delta_index();
-  const BicoreIndex* bicore = &owner->bicore_index();
-  const uint64_t epoch = snapshots_->PublishRecovery(
-      std::shared_ptr<const void>(owner), g, delta, bicore);
+  const uint64_t epoch = snapshots_->PublishRecovery(std::move(recovered));
   // The recovered epoch may be an older commit than the corrupted one:
   // nothing cached is trustworthy, flush everything and re-align.
   memo_.Invalidate();

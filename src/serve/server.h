@@ -48,10 +48,6 @@ struct ServerOptions {
   std::string compact_path;
   /// Compact after every N published epochs (0 = only at drain).
   uint32_t compact_every = 0;
-  /// Optional decomposition matching the seed graph; lets the update
-  /// writer seed its maintained state without re-peeling (the bundle
-  /// restart path). Must outlive the server.
-  const BicoreDecomposition* seed_decomp = nullptr;
   /// Slow-client protection: a connection whose oldest buffered response
   /// byte stays unsent this long is shed (never blocks a worker).
   uint32_t write_deadline_ms = 5000;
@@ -109,8 +105,9 @@ struct ServeStats {
 
 /// \brief The `abcs serve` resident daemon: accepts length-prefixed
 /// query frames over TCP and serves them from snapshot-versioned graph +
-/// indexes through a shared work-stealing worker pool with a warm
-/// (α,β) memo in front.
+/// decomposition + indexes through a shared work-stealing worker pool
+/// with a warm (α,β) memo in front. The server is seeded with all four
+/// parts, so every epoch serves every method.
 ///
 /// Serving is epoch-based RCU even when updates are disabled: every
 /// admitted query pins the current `Snapshot` (a shared_ptr copy) and
@@ -147,13 +144,13 @@ struct ServeStats {
 /// calls `Shutdown` from a normal thread.
 class Server {
  public:
-  /// Seeds epoch 1 of the snapshot chain; graph and indexes are borrowed
-  /// and must outlive the server. `delta` must be non-null (it also serves
-  /// SCS retrieval); `bicore` may be null, in which case the bicore method
-  /// answers kBadRequest on every epoch that has no I_v (the seed until
-  /// the first commit publishes an owned snapshot with one).
-  Server(const BipartiteGraph& g, const DeltaIndex* delta,
-         const BicoreIndex* bicore, const ServerOptions& options);
+  /// Seeds epoch 1 of the snapshot chain with the served unit: `g`, its
+  /// decomposition and the I_δ and I_v built from that decomposition. All
+  /// four are borrowed and must outlive the server; with updates enabled
+  /// the writer forks its maintained state from them without re-peeling.
+  Server(const BipartiteGraph& g, const BicoreDecomposition& decomp,
+         const DeltaIndex& delta, const BicoreIndex& bicore,
+         const ServerOptions& options);
   ~Server();
 
   Server(const Server&) = delete;

@@ -7,43 +7,39 @@
 
 namespace abcs::serve {
 
-Snapshot::Snapshot(uint64_t epoch, const BipartiteGraph& g,
-                   const DeltaIndex* delta, const BicoreIndex* bicore)
-    : epoch_(epoch),
-      graph_(&g),
-      delta_(delta),
-      bicore_(bicore),
-      online_engine_(g, QueryMethod::kOnline),
-      bicore_engine_(g, QueryMethod::kBicore, nullptr, bicore),
-      delta_engine_(g, QueryMethod::kDelta, delta) {}
+namespace {
+
+/// A non-owning pointer: the empty owner never frees `p`.
+template <typename T>
+std::shared_ptr<const T> Borrow(const T* p) {
+  return std::shared_ptr<const T>(std::shared_ptr<const T>(), p);
+}
+
+/// A pointer to `part` that keeps all of `owner` alive.
+template <typename T>
+std::shared_ptr<const T> Alias(const std::shared_ptr<const IndexBundle>& owner,
+                               const T& part) {
+  return std::shared_ptr<const T>(owner, &part);
+}
+
+}  // namespace
 
 Snapshot::Snapshot(uint64_t epoch, std::shared_ptr<const BipartiteGraph> graph,
                    std::shared_ptr<const BicoreDecomposition> decomp,
                    std::shared_ptr<const DeltaIndex> delta,
                    std::shared_ptr<const BicoreIndex> bicore)
     : epoch_(epoch),
-      owned_graph_(std::move(graph)),
+      graph_(std::move(graph)),
       decomp_(std::move(decomp)),
-      owned_delta_(std::move(delta)),
-      owned_bicore_(std::move(bicore)),
-      graph_(owned_graph_.get()),
-      delta_(owned_delta_.get()),
-      bicore_(owned_bicore_.get()),
+      delta_(std::move(delta)),
+      bicore_(std::move(bicore)),
       online_engine_(*graph_, QueryMethod::kOnline),
-      bicore_engine_(*graph_, QueryMethod::kBicore, nullptr, bicore_),
-      delta_engine_(*graph_, QueryMethod::kDelta, delta_) {}
+      bicore_engine_(*graph_, QueryMethod::kBicore, nullptr, bicore_.get()),
+      delta_engine_(*graph_, QueryMethod::kDelta, delta_.get()) {}
 
-Snapshot::Snapshot(uint64_t epoch, std::shared_ptr<const void> keepalive,
-                   const BipartiteGraph& g, const DeltaIndex* delta,
-                   const BicoreIndex* bicore)
-    : epoch_(epoch),
-      keepalive_(std::move(keepalive)),
-      graph_(&g),
-      delta_(delta),
-      bicore_(bicore),
-      online_engine_(g, QueryMethod::kOnline),
-      bicore_engine_(g, QueryMethod::kBicore, nullptr, bicore),
-      delta_engine_(g, QueryMethod::kDelta, delta) {}
+Snapshot::Snapshot(uint64_t epoch, const BipartiteGraph& g,
+                   const DeltaIndex* delta, const BicoreIndex* bicore)
+    : Snapshot(epoch, Borrow(&g), nullptr, Borrow(delta), Borrow(bicore)) {}
 
 const QueryEngine& Snapshot::engine(QueryMethod method) const {
   switch (method) {
@@ -62,13 +58,10 @@ SnapshotManager::SnapshotManager(const BipartiteGraph& g,
                                  const BicoreIndex* bicore,
                                  const BicoreDecomposition* decomp,
                                  SnapshotManagerOptions options)
-    : seed_graph_(&g),
-      seed_delta_(delta),
-      seed_bicore_(bicore),
-      seed_decomp_(decomp),
-      options_(std::move(options)) {
-  current_ = std::make_shared<const Snapshot>(1, g, delta, bicore);
-}
+    : options_(std::move(options)),
+      current_(std::make_shared<const Snapshot>(1, Borrow(&g), Borrow(decomp),
+                                                Borrow(delta),
+                                                Borrow(bicore))) {}
 
 SnapshotManager::~SnapshotManager() { Drain(); }
 
@@ -79,9 +72,11 @@ void SnapshotManager::set_publish_hook(PublishHook hook) {
 Status SnapshotManager::Start() {
   if (started_) return Status::InvalidArgument("manager already started");
   // The one O(n·δ + m) fork of the served state into the writer's mutable
-  // copy; with a decomposition in hand (the bundle restart path) this is
-  // copies only, no peels.
-  dyn_ = std::make_unique<DynamicDeltaIndex>(*seed_graph_, seed_decomp_);
+  // copy; with the seed's decomposition in hand this is copies only, no
+  // peels. Nothing has been published yet, so Current() is the seed.
+  const std::shared_ptr<const Snapshot> seed = Current();
+  dyn_ = std::make_unique<DynamicDeltaIndex>(seed->graph(),
+                                             seed->decomposition());
   started_ = true;
   writer_ = std::thread(&SnapshotManager::WriterLoop, this);
   return Status::OK();
@@ -123,13 +118,14 @@ bool SnapshotManager::Enqueue(UpdateOp op, uint32_t u_upper, uint32_t v_lower,
   return true;
 }
 
-uint64_t SnapshotManager::PublishRecovery(std::shared_ptr<const void> keepalive,
-                                          const BipartiteGraph& g,
-                                          const DeltaIndex* delta,
-                                          const BicoreIndex* bicore) {
+uint64_t SnapshotManager::PublishRecovery(
+    std::shared_ptr<const IndexBundle> bundle) {
   const uint64_t epoch = Epoch() + 1;
-  auto snap = std::make_shared<const Snapshot>(epoch, std::move(keepalive), g,
-                                               delta, bicore);
+  auto snap = std::make_shared<const Snapshot>(
+      epoch, Alias(bundle, bundle->graph()),
+      Alias(bundle, bundle->decomposition()),
+      Alias(bundle, bundle->delta_index()),
+      Alias(bundle, bundle->bicore_index()));
   {
     std::lock_guard<std::mutex> lock(current_mu_);
     current_ = std::move(snap);
@@ -273,8 +269,9 @@ uint64_t SnapshotManager::Publish() {
 
 void SnapshotManager::MaybeCompact() {
   if (options_.compact_path.empty() || !dirty_since_compact_) return;
+  // Dirty implies a publish, and every published epoch owns its
+  // decomposition.
   const std::shared_ptr<const Snapshot> snap = Current();
-  if (snap->decomposition() == nullptr) return;  // still the borrowed seed
   SaveBundleOptions save_opts;
   save_opts.keep_previous = true;
   const Status st = SaveIndexBundle(snap->graph(), *snap->decomposition(),

@@ -21,11 +21,21 @@
 #include "graph/bipartite_graph.h"
 #include "serve/protocol.h"
 
+namespace abcs {
+class IndexBundle;
+}  // namespace abcs
+
 namespace abcs::serve {
 
 /// \brief One immutable epoch of the served state: graph + decomposition +
 /// both index layers + the three pre-wired query engines, all frozen at a
 /// commit boundary.
+///
+/// Storage: four `shared_ptr<const T>`, one form for every epoch. Each
+/// pointer either owns its part (an epoch the writer published), aliases
+/// an owner that keeps it alive (the scrubber's recovered `IndexBundle`,
+/// through the aliasing constructor) or borrows it with an empty owner
+/// (the daemon's startup state, which outlives every pin).
 ///
 /// Reclamation is refcount RCU: readers pin an epoch by copying the
 /// manager's `shared_ptr<const Snapshot>` at admission and hold it for the
@@ -39,23 +49,16 @@ namespace abcs::serve {
 /// commit granularity.
 class Snapshot {
  public:
-  /// Borrowed form — the static-serving epoch 1. Caller guarantees the
-  /// graph and indexes outlive every pin (the daemon's startup state).
-  Snapshot(uint64_t epoch, const BipartiteGraph& g, const DeltaIndex* delta,
-           const BicoreIndex* bicore);
-
-  /// Owned form — published by the writer; members keep each other alive
-  /// (`delta`/`bicore` were built against `*graph`).
+  /// `delta` and `bicore` were built against `*graph` (and from `*decomp`
+  /// when it is non-null).
   Snapshot(uint64_t epoch, std::shared_ptr<const BipartiteGraph> graph,
            std::shared_ptr<const BicoreDecomposition> decomp,
            std::shared_ptr<const DeltaIndex> delta,
            std::shared_ptr<const BicoreIndex> bicore);
 
-  /// Keepalive form — borrowed serving pointers whose backing storage is a
-  /// type-erased owner (the scrubber's recovered `IndexBundle`): the bundle
-  /// stays mapped until the last pinned reader releases this epoch.
-  Snapshot(uint64_t epoch, std::shared_ptr<const void> keepalive,
-           const BipartiteGraph& g, const DeltaIndex* delta,
+  /// Borrows `g` and the indexes, with no decomposition; the caller keeps
+  /// them alive for every pin.
+  Snapshot(uint64_t epoch, const BipartiteGraph& g, const DeltaIndex* delta,
            const BicoreIndex* bicore);
 
   Snapshot(const Snapshot&) = delete;
@@ -63,9 +66,9 @@ class Snapshot {
 
   uint64_t epoch() const { return epoch_; }
   const BipartiteGraph& graph() const { return *graph_; }
-  const DeltaIndex* delta_index() const { return delta_; }
-  const BicoreIndex* bicore_index() const { return bicore_; }
-  /// Non-null only for owned snapshots (compaction's input).
+  const DeltaIndex* delta_index() const { return delta_.get(); }
+  const BicoreIndex* bicore_index() const { return bicore_.get(); }
+  /// Null only in a snapshot seeded without one.
   const BicoreDecomposition* decomposition() const { return decomp_.get(); }
 
   const QueryEngine& online_engine() const { return online_engine_; }
@@ -76,16 +79,10 @@ class Snapshot {
 
  private:
   uint64_t epoch_;
-  // Keep-alives (null in the borrowed form).
-  std::shared_ptr<const void> keepalive_;  ///< recovered-bundle owner
-  std::shared_ptr<const BipartiteGraph> owned_graph_;
+  std::shared_ptr<const BipartiteGraph> graph_;
   std::shared_ptr<const BicoreDecomposition> decomp_;
-  std::shared_ptr<const DeltaIndex> owned_delta_;
-  std::shared_ptr<const BicoreIndex> owned_bicore_;
-  // Serving pointers, valid in both forms.
-  const BipartiteGraph* graph_;
-  const DeltaIndex* delta_;
-  const BicoreIndex* bicore_;
+  std::shared_ptr<const DeltaIndex> delta_;
+  std::shared_ptr<const BicoreIndex> bicore_;
   QueryEngine online_engine_;
   QueryEngine bicore_engine_;
   QueryEngine delta_engine_;
@@ -116,6 +113,11 @@ struct UpdateStats {
 /// through `DynamicDeltaIndex` maintenance and publishes immutable
 /// snapshots.
 ///
+/// Seeding: epoch 1 is a snapshot that borrows the caller's graph,
+/// decomposition and indexes, and it is the manager's only record of
+/// them. `Start` forks the writer's maintained state from that snapshot,
+/// reusing its decomposition instead of re-peeling.
+///
 /// Threading contract:
 ///  - Any thread calls `Current()` (epoch pin) and `Enqueue()`.
 ///  - Exactly one internal writer thread applies ops, answers their
@@ -138,9 +140,9 @@ class SnapshotManager {
   using PublishHook = std::function<void(
       const Snapshot&, const UpdateSummary&, const std::vector<uint8_t>&)>;
 
-  /// Seeds epoch 1 as a borrowed snapshot of `g` + indexes (all must
-  /// outlive the manager). `decomp`, when non-null, seeds the writer's
-  /// DynamicDeltaIndex without re-peeling (the bundle restart path).
+  /// Seeds epoch 1 as a borrowed snapshot of `g`, `decomp` and both
+  /// indexes (all must outlive the manager). `Start` seeds the writer from
+  /// that snapshot; with `decomp` null it re-peels the offsets there.
   SnapshotManager(const BipartiteGraph& g, const DeltaIndex* delta,
                   const BicoreIndex* bicore, const BicoreDecomposition* decomp,
                   SnapshotManagerOptions options);
@@ -151,8 +153,9 @@ class SnapshotManager {
 
   void set_publish_hook(PublishHook hook);  ///< before Start only
 
-  /// Spawns the writer thread (seeding the dynamic index happens here —
-  /// the one O(n·δ) copy of the maintained state).
+  /// Spawns the writer thread. The dynamic index is seeded here from the
+  /// seed snapshot's graph and decomposition — the one O(n·δ) copy of the
+  /// maintained state.
   Status Start();
 
   /// Graceful writer shutdown (idempotent): reject new ops, apply the
@@ -172,15 +175,14 @@ class SnapshotManager {
   bool Enqueue(UpdateOp op, uint32_t u_upper, uint32_t v_lower, double weight,
                DoneFn done);
 
-  /// Publishes a keepalive snapshot over a recovered bundle and returns
-  /// its epoch — the scrubber's quarantine path. Readers pinned on the
-  /// corrupt epoch keep their (already-validated) mapping until they
-  /// drain; new admissions pin the recovered state. Only valid while live
-  /// updates are disabled (the writer thread was never started), so it
-  /// never races `Publish()`.
-  uint64_t PublishRecovery(std::shared_ptr<const void> keepalive,
-                           const BipartiteGraph& g, const DeltaIndex* delta,
-                           const BicoreIndex* bicore);
+  /// Publishes a snapshot whose four parts alias a recovered bundle (the
+  /// bundle stays mapped until the last pin drops) and returns its epoch —
+  /// the scrubber's quarantine path. Readers pinned on the corrupt epoch
+  /// keep their (already-validated) mapping until they drain; new
+  /// admissions pin the recovered state. Only valid while live updates are
+  /// disabled (the writer thread was never started), so it never races
+  /// `Publish()`.
+  uint64_t PublishRecovery(std::shared_ptr<const IndexBundle> bundle);
 
   UpdateStats Stats() const;
 
@@ -200,10 +202,6 @@ class SnapshotManager {
   uint64_t Publish();
   void MaybeCompact();
 
-  const BipartiteGraph* seed_graph_;
-  const DeltaIndex* seed_delta_;
-  const BicoreIndex* seed_bicore_;
-  const BicoreDecomposition* seed_decomp_;
   const SnapshotManagerOptions options_;
   PublishHook publish_hook_;
 

@@ -129,5 +129,34 @@ TEST_F(NetFaultTest, EnvRoutesNetSpecsWithoutArmingCrashInjector) {
   EXPECT_EQ(d.arg, 9u);
 }
 
+// Crash specs are as strict as net specs: only `point` and
+// `point=short:N` arm the crash injector, N parsed to its end.
+TEST_F(NetFaultTest, EnvArmsWellFormedCrashSpec) {
+  ::setenv("ABCS_FAULT_INJECT", "bundle_save.sections=short:17", 1);
+  FaultInjector::Instance().ArmFromEnv();
+  ::unsetenv("ABCS_FAULT_INJECT");
+  EXPECT_TRUE(FaultInjector::Instance().armed());
+  EXPECT_EQ(FaultInjector::Instance().WriteBudget("bundle_save.sections", 64),
+            17u);
+  FaultInjector::Instance().Disarm();
+}
+
+// Any other spec is a harness bug: it exits 2, the path a malformed net
+// spec takes, instead of arming some other fault.
+TEST_F(NetFaultTest, EnvRejectsMalformedSpecsWithExitTwo) {
+  for (const char* spec :
+       {"bundle_save.sections=short:x", "bundle_save.after_fsync=bogus",
+        "bundle_save.sections=short:", "net.x=bogus"}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("ABCS_FAULT_INJECT", spec, 1);
+          FaultInjector::Instance().ArmFromEnv();
+          std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(2), "ABCS_FAULT_INJECT")
+        << spec;
+  }
+}
+
 }  // namespace
 }  // namespace abcs

@@ -31,21 +31,74 @@
 namespace abcs::serve {
 namespace {
 
+using ::abcs::testing::IndexedGraph;
 using ::abcs::testing::RandomWeightedGraph;
 
+WireRequest ToWire(const BipartiteGraph& graph, const QueryRequest& r,
+                   WireMethod method) {
+  WireRequest req;
+  req.method = method;
+  req.lower_side = !graph.IsUpper(r.q);
+  req.q = req.lower_side ? r.q - graph.NumUpper() : r.q;
+  req.alpha = r.alpha;
+  req.beta = r.beta;
+  return req;
+}
+
+/// Wire parity for all seven methods: asks the daemon every request under
+/// each method and checks the answer against the offline `RunBatch` with
+/// the same wire-method → kernel mapping (found, |C|, |R|, the bits of
+/// f(R) and the resolved kernel), its |C| against the direct I_δ
+/// retrieval and its epoch against `epoch`.
+void ExpectEveryMethodMatchesRunBatch(Client& client,
+                                      const BipartiteGraph& graph,
+                                      const DeltaIndex& delta,
+                                      const BicoreIndex& bicore,
+                                      const std::vector<QueryRequest>& requests,
+                                      uint64_t epoch) {
+  for (uint8_t m = 0; m < kNumWireMethods; ++m) {
+    const WireMethod method = static_cast<WireMethod>(m);
+    const WireKernels kernels = WireMethodKernels(method);
+    const QueryEngine engine(graph, kernels.retrieval, &delta, &bicore);
+    BatchOptions options;
+    options.scs = kernels.scs;
+    const BatchResult offline = engine.RunBatch(requests, options);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const QueryRequest& r = requests[i];
+      const QueryOutcome& o = offline.outcomes[i];
+      WireResponse resp;
+      ASSERT_TRUE(client.Call(ToWire(graph, r, method), &resp).ok());
+      ASSERT_EQ(resp.status, WireStatus::kOk);
+      const std::string at = std::string("method=") + WireMethodName(method) +
+                             " q=" + std::to_string(r.q) +
+                             " ab=" + std::to_string(r.alpha);
+      ASSERT_EQ(resp.num_edges,
+                delta.QueryCommunity(r.q, r.alpha, r.beta).edges.size())
+          << at;
+      EXPECT_EQ(resp.epoch, epoch) << at;
+      EXPECT_EQ(resp.found, o.found) << at;
+      EXPECT_EQ(resp.num_edges, o.num_edges) << at;
+      EXPECT_EQ(resp.result_edges, o.result_edges) << at;
+      EXPECT_EQ(std::bit_cast<uint64_t>(resp.significance),
+                std::bit_cast<uint64_t>(o.significance))
+          << at;
+      EXPECT_EQ(resp.kernel,
+                o.kernel ? static_cast<uint8_t>(*o.kernel) : kNoKernel)
+          << at;
+      EXPECT_EQ(o.kernel.has_value(), IsScsMethod(method)) << at;
+    }
+  }
+}
+
 /// One graph + indexes + running server per fixture instantiation.
-struct Harness {
-  BipartiteGraph graph;
-  DeltaIndex delta;
-  BicoreIndex bicore;
+struct Harness : IndexedGraph {
   std::unique_ptr<Server> server;
 
   explicit Harness(ServerOptions options = {}, uint32_t nu = 60,
                    uint32_t nl = 60, uint32_t m = 700)
-      : graph(RandomWeightedGraph(nu, nl, m, 1729)),
-        delta(DeltaIndex::Build(graph)),
-        bicore(BicoreIndex::Build(graph)) {
-    server = std::make_unique<Server>(graph, &delta, &bicore, options);
+      : IndexedGraph(RandomWeightedGraph(nu, nl, m, 1729)) {
+    server =
+        std::make_unique<Server>(graph, decomp, delta, bicore, options);
     const Status st = server->Start();
     if (!st.ok()) {
       ADD_FAILURE() << "server start failed: " << st.ToString();
@@ -65,20 +118,10 @@ struct Harness {
 
   WireRequest Request(VertexId unified_q, uint32_t alpha, uint32_t beta,
                       WireMethod method = WireMethod::kDelta) const {
-    WireRequest req;
-    req.method = method;
-    req.lower_side = !graph.IsUpper(unified_q);
-    req.q = req.lower_side ? unified_q - graph.NumUpper() : unified_q;
-    req.alpha = alpha;
-    req.beta = beta;
-    return req;
+    return ToWire(graph, {unified_q, alpha, beta}, method);
   }
 };
 
-// Wire parity for all seven methods: every daemon answer equals the
-// offline `RunBatch` with the same wire-method → kernel mapping
-// (found, |C|, |R|, the bits of f(R) and the resolved kernel), and every
-// |C| equals the direct I_δ retrieval.
 TEST(ServeServerTest, AnswersMatchDirectQueriesForEveryMethod) {
   Harness h;
   Client client = h.Connect();
@@ -86,38 +129,8 @@ TEST(ServeServerTest, AnswersMatchDirectQueriesForEveryMethod) {
   for (VertexId q = 0; q < h.graph.NumVertices(); q += 7) {
     for (uint32_t ab = 1; ab <= 3; ++ab) requests.push_back({q, ab, ab});
   }
-  for (uint8_t m = 0; m < kNumWireMethods; ++m) {
-    const WireMethod method = static_cast<WireMethod>(m);
-    const WireKernels kernels = WireMethodKernels(method);
-    const QueryEngine engine(h.graph, kernels.retrieval, &h.delta, &h.bicore);
-    BatchOptions options;
-    options.scs = kernels.scs;
-    const BatchResult offline = engine.RunBatch(requests, options);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const QueryRequest& r = requests[i];
-      const QueryOutcome& o = offline.outcomes[i];
-      WireResponse resp;
-      ASSERT_TRUE(
-          client.Call(h.Request(r.q, r.alpha, r.beta, method), &resp).ok());
-      ASSERT_EQ(resp.status, WireStatus::kOk);
-      const std::string at = std::string("method=") + WireMethodName(method) +
-                             " q=" + std::to_string(r.q) +
-                             " ab=" + std::to_string(r.alpha);
-      ASSERT_EQ(resp.num_edges,
-                h.delta.QueryCommunity(r.q, r.alpha, r.beta).edges.size())
-          << at;
-      EXPECT_EQ(resp.found, o.found) << at;
-      EXPECT_EQ(resp.num_edges, o.num_edges) << at;
-      EXPECT_EQ(resp.result_edges, o.result_edges) << at;
-      EXPECT_EQ(std::bit_cast<uint64_t>(resp.significance),
-                std::bit_cast<uint64_t>(o.significance))
-          << at;
-      EXPECT_EQ(resp.kernel,
-                o.kernel ? static_cast<uint8_t>(*o.kernel) : kNoKernel)
-          << at;
-      EXPECT_EQ(o.kernel.has_value(), IsScsMethod(method)) << at;
-    }
-  }
+  ExpectEveryMethodMatchesRunBatch(client, h.graph, h.delta, h.bicore,
+                                   requests, /*epoch=*/1);
 }
 
 TEST(ServeServerTest, PipelinedResponsesArriveInRequestOrder) {
@@ -484,7 +497,7 @@ TEST(ServeServerTest, ScrubberQuarantinesCorruptBundleAndRecoversFromPrev) {
   options.enable_memo = false;
   options.bundle_path = path;
   options.scrub_interval_ms = 10;
-  Server server(graph, &delta, &bicore, options);
+  Server server(graph, decomp, delta, bicore, options);
   ASSERT_TRUE(server.Start().ok());
 
   // At least one clean pass first: scrubbing a healthy bundle is silent.
@@ -518,28 +531,28 @@ TEST(ServeServerTest, ScrubberQuarantinesCorruptBundleAndRecoversFromPrev) {
   const ServeStats stats = server.Stats();
   EXPECT_GE(stats.scrub_corruptions, 1u);
   EXPECT_EQ(server.snapshots().Epoch(), 2u);  // recovery published epoch 2
+  // The recovered epoch carries the bundle's decomposition too.
+  const BicoreDecomposition* recovered =
+      server.snapshots().Current()->decomposition();
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_NE(recovered, &decomp);
+  EXPECT_EQ(*recovered, decomp);
   struct stat st{};
   EXPECT_EQ(::stat((path + ".quarantined").c_str(), &st), 0)
       << "corrupt bundle was not quarantined";
 
-  // Queries on the recovered snapshot match the direct engine, and the
-  // probe reports live again (the corruption flag cleared on recovery).
+  // Every method on the recovered snapshot answers as the offline batch
+  // over the in-memory build does, so the bundle-aliased epoch is read
+  // through I_δ, I_v and the SCS weights; the probe then reports live
+  // again (the corruption flag cleared on recovery).
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  std::vector<QueryRequest> requests;
   for (VertexId q = 0; q < graph.NumVertices(); q += 11) {
-    WireRequest req;
-    req.method = WireMethod::kDelta;
-    req.lower_side = !graph.IsUpper(q);
-    req.q = req.lower_side ? q - graph.NumUpper() : q;
-    req.alpha = 2;
-    req.beta = 2;
-    WireResponse resp;
-    ASSERT_TRUE(client.Call(req, &resp).ok());
-    ASSERT_EQ(resp.status, WireStatus::kOk);
-    ASSERT_EQ(resp.num_edges, delta.QueryCommunity(q, 2, 2).edges.size())
-        << "q=" << q;
-    ASSERT_EQ(resp.epoch, 2u);
+    for (uint32_t ab = 1; ab <= 3; ++ab) requests.push_back({q, ab, ab});
   }
+  ExpectEveryMethodMatchesRunBatch(client, graph, delta, bicore, requests,
+                                   /*epoch=*/2);
   WireHealth health;
   ASSERT_TRUE(client.Health(&health).ok());
   EXPECT_EQ(health.state, HealthState::kLive);
@@ -551,12 +564,10 @@ TEST(ServeServerTest, ScrubberQuarantinesCorruptBundleAndRecoversFromPrev) {
 }
 
 TEST(ServeServerTest, ScrubberConfigIsValidatedAtStart) {
-  const BipartiteGraph graph = RandomWeightedGraph(20, 20, 80, 7);
-  const DeltaIndex delta = DeltaIndex::Build(graph);
-  const BicoreIndex bicore = BicoreIndex::Build(graph);
+  const IndexedGraph s(RandomWeightedGraph(20, 20, 80, 7));
   ServerOptions options;
   options.scrub_interval_ms = 10;  // no bundle_path: nothing to scrub
-  Server server(graph, &delta, &bicore, options);
+  Server server(s.graph, s.decomp, s.delta, s.bicore, options);
   const Status st = server.Start();
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();

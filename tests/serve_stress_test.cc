@@ -22,15 +22,15 @@
 namespace abcs::serve {
 namespace {
 
+using ::abcs::testing::IndexedGraph;
 using ::abcs::testing::RandomWeightedGraph;
 
 TEST(ServeStressTest, ConcurrentMixedTrafficIsCorrectAndClean) {
-  const BipartiteGraph g = RandomWeightedGraph(60, 60, 700, 4242);
-  const DeltaIndex delta = DeltaIndex::Build(g);
-  const BicoreIndex bicore = BicoreIndex::Build(g);
+  const IndexedGraph served(RandomWeightedGraph(60, 60, 700, 4242));
   ServerOptions options;
   options.num_threads = 4;
-  Server server(g, &delta, &bicore, options);
+  Server server(served.graph, served.decomp, served.delta, served.bicore,
+                options);
   ASSERT_TRUE(server.Start().ok());
 
   constexpr unsigned kClients = 8;
@@ -52,14 +52,14 @@ TEST(ServeStressTest, ConcurrentMixedTrafficIsCorrectAndClean) {
       }
       Rng rng(1000 + c);
       for (int i = 0; i < kCallsPerClient; ++i) {
-        const VertexId q =
-            static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+        const VertexId q = static_cast<VertexId>(
+            rng.NextBounded(served.graph.NumVertices()));
         const uint32_t alpha = 1 + static_cast<uint32_t>(rng.NextBounded(4));
         const uint32_t beta = 1 + static_cast<uint32_t>(rng.NextBounded(4));
         WireRequest req;
         req.method = kMethods[rng.NextBounded(5)];
-        req.lower_side = !g.IsUpper(q);
-        req.q = req.lower_side ? q - g.NumUpper() : q;
+        req.lower_side = !served.graph.IsUpper(q);
+        req.q = req.lower_side ? q - served.graph.NumUpper() : q;
         req.alpha = alpha;
         req.beta = beta;
         WireResponse resp;
@@ -70,7 +70,7 @@ TEST(ServeStressTest, ConcurrentMixedTrafficIsCorrectAndClean) {
         }
         // |C| is method-independent and memo-independent: check it
         // against a fresh unshared query.
-        const Subgraph expect = delta.QueryCommunity(q, alpha, beta);
+        const Subgraph expect = served.delta.QueryCommunity(q, alpha, beta);
         if (resp.num_edges != expect.edges.size()) mismatches.fetch_add(1);
       }
     });
@@ -96,11 +96,11 @@ TEST(ServeStressTest, ConcurrentMixedTrafficIsCorrectAndClean) {
 // Shutdown racing live pipelined traffic: every admitted request is
 // answered, late requests get a clean kShuttingDown, nothing hangs.
 TEST(ServeStressTest, ShutdownRacesLiveTraffic) {
-  const BipartiteGraph g = RandomWeightedGraph(60, 60, 700, 5353);
-  const DeltaIndex delta = DeltaIndex::Build(g);
+  const IndexedGraph served(RandomWeightedGraph(60, 60, 700, 5353));
   ServerOptions options;
   options.num_threads = 2;
-  Server server(g, &delta, nullptr, options);
+  Server server(served.graph, served.decomp, served.delta, served.bicore,
+                options);
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> stop{false};
@@ -113,7 +113,8 @@ TEST(ServeStressTest, ShutdownRacesLiveTraffic) {
       Rng rng(7000 + c);
       while (!stop.load(std::memory_order_relaxed)) {
         WireRequest req;
-        req.q = static_cast<uint32_t>(rng.NextBounded(g.NumUpper()));
+        req.q =
+            static_cast<uint32_t>(rng.NextBounded(served.graph.NumUpper()));
         req.alpha = 1 + static_cast<uint32_t>(rng.NextBounded(3));
         req.beta = 1 + static_cast<uint32_t>(rng.NextBounded(3));
         WireResponse resp;
@@ -148,11 +149,11 @@ struct NetFaultGuard {
 // still matches a fresh direct query and no call errors out.
 TEST(ServeChaosTest, InjectedSocketFaultsAreInvisibleToRetryingClient) {
   NetFaultGuard guard;
-  const BipartiteGraph g = RandomWeightedGraph(60, 60, 700, 6464);
-  const DeltaIndex delta = DeltaIndex::Build(g);
+  const IndexedGraph served(RandomWeightedGraph(60, 60, 700, 6464));
   ServerOptions options;
   options.num_threads = 2;
-  Server server(g, &delta, nullptr, options);
+  Server server(served.graph, served.decomp, served.delta, served.bicore,
+                options);
   ASSERT_TRUE(server.Start().ok());
 
   NetFaultInjector& inj = NetFaultInjector::Instance();
@@ -171,7 +172,8 @@ TEST(ServeChaosTest, InjectedSocketFaultsAreInvisibleToRetryingClient) {
 
   Rng rng(99);
   for (int i = 0; i < 150; ++i) {
-    const VertexId q = static_cast<VertexId>(rng.NextBounded(g.NumUpper()));
+    const VertexId q =
+        static_cast<VertexId>(rng.NextBounded(served.graph.NumUpper()));
     const uint32_t alpha = 1 + static_cast<uint32_t>(rng.NextBounded(4));
     const uint32_t beta = 1 + static_cast<uint32_t>(rng.NextBounded(4));
     WireRequest req;
@@ -182,7 +184,7 @@ TEST(ServeChaosTest, InjectedSocketFaultsAreInvisibleToRetryingClient) {
     const Status st = client.Call(req, &resp);
     ASSERT_TRUE(st.ok()) << "call " << i << ": " << st.ToString();
     ASSERT_EQ(resp.status, WireStatus::kOk) << i;
-    const Subgraph expect = delta.QueryCommunity(q, alpha, beta);
+    const Subgraph expect = served.delta.QueryCommunity(q, alpha, beta);
     ASSERT_EQ(resp.num_edges, expect.edges.size()) << i;
     ASSERT_EQ(resp.found, !expect.edges.empty()) << i;
   }
@@ -199,14 +201,14 @@ TEST(ServeChaosTest, InjectedSocketFaultsAreInvisibleToRetryingClient) {
 // the fault clears, the same client object recovers on the next call.
 TEST(ServeChaosTest, DelayPastClientDeadlineIsTypedThenRecovers) {
   NetFaultGuard guard;
-  const BipartiteGraph g = RandomWeightedGraph(40, 40, 400, 7575);
-  const DeltaIndex delta = DeltaIndex::Build(g);
+  const IndexedGraph served(RandomWeightedGraph(40, 40, 400, 7575));
   ServerOptions options;
   // The injected delay sleeps inside the syscall wrapper, pinning one
   // worker mid-send; a second worker keeps the recovery call servable
   // even on a single-core machine.
   options.num_threads = 2;
-  Server server(g, &delta, nullptr, options);
+  Server server(served.graph, served.decomp, served.delta, served.bicore,
+                options);
   ASSERT_TRUE(server.Start().ok());
 
   NetFaultInjector& inj = NetFaultInjector::Instance();
@@ -234,7 +236,8 @@ TEST(ServeChaosTest, DelayPastClientDeadlineIsTypedThenRecovers) {
   const Status recovered = client.Call(req, &resp);
   ASSERT_TRUE(recovered.ok()) << recovered.ToString();
   EXPECT_EQ(resp.status, WireStatus::kOk);
-  EXPECT_EQ(resp.num_edges, delta.QueryCommunity(0, 1, 1).edges.size());
+  EXPECT_EQ(resp.num_edges,
+            served.delta.QueryCommunity(0, 1, 1).edges.size());
   server.Shutdown();
 }
 
@@ -243,15 +246,15 @@ TEST(ServeChaosTest, DelayPastClientDeadlineIsTypedThenRecovers) {
 // well-behaved client keeps completing calls throughout, and the slow
 // connection's teardown is a typed error, not a hang.
 TEST(ServeChaosTest, SlowClientIsShedWhileFastClientProgresses) {
-  const BipartiteGraph g = RandomWeightedGraph(60, 60, 700, 8686);
-  const DeltaIndex delta = DeltaIndex::Build(g);
+  const IndexedGraph served(RandomWeightedGraph(60, 60, 700, 8686));
   ServerOptions options;
   options.num_threads = 2;
   options.write_deadline_ms = 150;
   options.max_output_buffer = 32u << 10;
   options.so_sndbuf = 8u << 10;  // small kernel buffer: back-pressure fast
   options.max_queue = 16384;     // flood must hit the outbuf, not admission
-  Server server(g, &delta, nullptr, options);
+  Server server(served.graph, served.decomp, served.delta, served.bicore,
+                options);
   ASSERT_TRUE(server.Start().ok());
 
   ClientOptions slow_opts;
@@ -274,7 +277,7 @@ TEST(ServeChaosTest, SlowClientIsShedWhileFastClientProgresses) {
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
     WireRequest r;
-    r.q = static_cast<uint32_t>(rng.NextBounded(g.NumUpper()));
+    r.q = static_cast<uint32_t>(rng.NextBounded(served.graph.NumUpper()));
     r.alpha = 1 + static_cast<uint32_t>(rng.NextBounded(3));
     r.beta = 1 + static_cast<uint32_t>(rng.NextBounded(3));
     WireResponse resp;

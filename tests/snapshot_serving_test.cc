@@ -18,9 +18,11 @@
 #include <vector>
 
 #include "abcore/offsets.h"
+#include "common/rng.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
 #include "core/maintenance.h"
+#include "core/online_query.h"
 #include "io/index_bundle.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -30,7 +32,9 @@
 namespace abcs::serve {
 namespace {
 
+using ::abcs::testing::IndexedGraph;
 using ::abcs::testing::MakeGraph;
+using ::abcs::testing::RandomWeightedGraph;
 
 // K_{3,3} (upper 0-2 x lower 0-2) plus `spares` two-vertex components
 // u_{3+k} — v_{3+k}. Inserting (u_{3+k}, v_0) merges spare k into the big
@@ -47,19 +51,14 @@ BipartiteGraph StressGraph(uint32_t spares) {
   return MakeGraph(triples);
 }
 
-struct ManagerHarness {
-  BipartiteGraph graph;
-  DeltaIndex delta;
-  BicoreIndex bicore;
+struct ManagerHarness : IndexedGraph {
   std::unique_ptr<SnapshotManager> manager;
 
   explicit ManagerHarness(const BipartiteGraph& g,
                           SnapshotManagerOptions options = {})
-      : graph(g),
-        delta(DeltaIndex::Build(graph)),
-        bicore(BicoreIndex::Build(graph)) {
+      : IndexedGraph(g) {
     manager = std::make_unique<SnapshotManager>(graph, &delta, &bicore,
-                                                nullptr, options);
+                                                &decomp, options);
   }
 
   // Blocking op: returns the wire status the writer answered.
@@ -157,6 +156,86 @@ TEST(SnapshotManagerTest, WeightsOnlyPublishSharesDecomposition) {
             ComputeBicoreDecomposition(snap4->graph()));
 }
 
+// Every epoch of a seeded stream of reweight, insert and remove batches
+// serves what a fresh build over its graph serves: its decomposition
+// equals a from-scratch peel, and the three engines answer a (q, α, β)
+// grid exactly as fresh I_δ, I_v and online retrieval do on that graph.
+TEST(SnapshotManagerTest, EveryPublishMatchesAFreshBuild) {
+  ManagerHarness h(RandomWeightedGraph(14, 14, 70, 31));
+  ASSERT_TRUE(h.manager->Start().ok());
+  const auto check = [&](const std::string& at) {
+    const std::shared_ptr<const Snapshot> snap = h.manager->Current();
+    const BipartiteGraph& g = snap->graph();
+    ASSERT_NE(snap->decomposition(), nullptr) << at;
+    ASSERT_EQ(*snap->decomposition(), ComputeBicoreDecomposition(g)) << at;
+    const DeltaIndex delta = DeltaIndex::Build(g);
+    const BicoreIndex bicore = BicoreIndex::Build(g);
+    QueryScratch scratch;
+    Subgraph got;
+    for (VertexId q = 0; q < g.NumVertices(); q += 3) {
+      for (uint32_t a = 1; a <= 3; ++a) {
+        for (uint32_t b = 1; b <= 3; ++b) {
+          const std::string where = at + " q=" + std::to_string(q) +
+                                    " a=" + std::to_string(a) +
+                                    " b=" + std::to_string(b);
+          snap->delta_engine().Query({q, a, b}, scratch, &got);
+          EXPECT_EQ(got.edges, delta.QueryCommunity(q, a, b).edges) << where;
+          snap->bicore_engine().Query({q, a, b}, scratch, &got);
+          EXPECT_EQ(got.edges, bicore.QueryCommunity(q, a, b).edges)
+              << where;
+          snap->online_engine().Query({q, a, b}, scratch, &got);
+          EXPECT_EQ(got.edges, QueryCommunityOnline(g, q, a, b).edges)
+              << where;
+        }
+      }
+    }
+  };
+  check("epoch 1");
+
+  Rng rng(2718);
+  uint32_t weights_only = 0;
+  uint32_t topology = 0;
+  for (int batch = 0; batch < 24; ++batch) {
+    const std::shared_ptr<const Snapshot> before = h.manager->Current();
+    const BipartiteGraph& g = before->graph();
+    const uint64_t kind = rng.NextBounded(3);  // reweight, insert, remove
+    const int ops = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int i = 0; i < ops; ++i) {
+      uint32_t u = 0;
+      uint32_t v = 0;
+      if (kind == 1) {
+        u = static_cast<uint32_t>(rng.NextBounded(g.NumUpper()));
+        v = static_cast<uint32_t>(rng.NextBounded(g.NumLower()));
+      } else {
+        const Edge& e = g.GetEdge(
+            static_cast<EdgeId>(rng.NextBounded(g.NumEdges())));
+        u = e.u;
+        v = e.v - g.NumUpper();
+      }
+      const UpdateOp op = kind == 0   ? UpdateOp::kReweightEdge
+                          : kind == 1 ? UpdateOp::kInsertEdge
+                                      : UpdateOp::kRemoveEdge;
+      const double w = 1.0 + static_cast<double>(rng.NextBounded(9));
+      // Duplicate inserts and repeated removes within a batch conflict.
+      const WireStatus ws = h.Apply(op, u, v, w);
+      ASSERT_TRUE(ws == WireStatus::kOk || ws == WireStatus::kConflict);
+    }
+    uint64_t epoch = 0;
+    ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0, &epoch), WireStatus::kOk);
+    if (epoch == before->epoch()) continue;  // every op conflicted
+    const std::shared_ptr<const Snapshot> after = h.manager->Current();
+    if (after->decomposition() == before->decomposition()) {
+      ++weights_only;
+    } else {
+      ++topology;
+    }
+    check("batch " + std::to_string(batch) + " epoch " +
+          std::to_string(epoch));
+  }
+  EXPECT_GT(weights_only, 0u);
+  EXPECT_GT(topology, 0u);
+}
+
 TEST(SnapshotManagerTest, DrainPublishesUncommittedTail) {
   ManagerHarness h(StressGraph(3));
   ASSERT_TRUE(h.manager->Start().ok());
@@ -239,18 +318,14 @@ TEST(SnapshotManagerTest, CompactionWritesVerifiableBundle) {
 
 // --------------------------------------------------------- server level --
 
-struct ServeHarness {
-  BipartiteGraph graph;
-  DeltaIndex delta;
-  BicoreIndex bicore;
+struct ServeHarness : IndexedGraph {
   std::unique_ptr<Server> server;
 
   explicit ServeHarness(const BipartiteGraph& g, ServerOptions options = {})
-      : graph(g),
-        delta(DeltaIndex::Build(graph)),
-        bicore(BicoreIndex::Build(graph)) {
+      : IndexedGraph(g) {
     options.enable_updates = true;
-    server = std::make_unique<Server>(graph, &delta, &bicore, options);
+    server =
+        std::make_unique<Server>(graph, decomp, delta, bicore, options);
     const Status st = server->Start();
     if (!st.ok()) ADD_FAILURE() << "server start failed: " << st.ToString();
   }
@@ -278,10 +353,9 @@ WireRequest Query(uint32_t q, uint32_t alpha, uint32_t beta,
 }
 
 TEST(SnapshotServingTest, UpdatesDisabledServerRejectsButStillServes) {
-  BipartiteGraph g = StressGraph(1);
-  DeltaIndex delta = DeltaIndex::Build(g);
-  BicoreIndex bicore = BicoreIndex::Build(g);
-  Server server(g, &delta, &bicore, ServerOptions{});  // updates off
+  const IndexedGraph s(StressGraph(1));
+  Server server(s.graph, s.decomp, s.delta, s.bicore,
+                ServerOptions{});  // updates off
   ASSERT_TRUE(server.Start().ok());
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
@@ -331,41 +405,6 @@ TEST(SnapshotServingTest, CommittedUpdatesChangeAnswersAndEpochs) {
   EXPECT_EQ(resp.status, WireStatus::kInvalidVertex);
   ASSERT_TRUE(client.Ping(&epoch).ok());
   EXPECT_EQ(epoch, 2u);
-}
-
-// Admission reads the epoch a request pins, never the seed pointers: a
-// server seeded without I_v rejects bicore queries until the first commit
-// publishes an owned snapshot that carries one, and serves them from then
-// on.
-TEST(SnapshotServingTest, BicoreAdmissionFollowsThePinnedSnapshot) {
-  BipartiteGraph g = StressGraph(2);
-  DeltaIndex delta = DeltaIndex::Build(g);
-  ServerOptions options;
-  options.enable_updates = true;
-  Server server(g, &delta, /*bicore=*/nullptr, options);
-  ASSERT_TRUE(server.Start().ok());
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-
-  WireResponse resp;
-  ASSERT_TRUE(client.Call(Query(0, 1, 1, WireMethod::kBicore), &resp).ok());
-  EXPECT_EQ(resp.status, WireStatus::kBadRequest);
-
-  ASSERT_TRUE(client.Update(UpdateOp::kInsertEdge, 3, 0, 1.0, &resp).ok());
-  ASSERT_EQ(resp.status, WireStatus::kOk);
-  uint64_t epoch = 0;
-  ASSERT_TRUE(client.Commit(&epoch).ok());
-  ASSERT_EQ(epoch, 2u);
-
-  ASSERT_TRUE(client.Call(Query(0, 1, 1, WireMethod::kBicore), &resp).ok());
-  ASSERT_EQ(resp.status, WireStatus::kOk);
-  EXPECT_EQ(resp.epoch, 2u);
-  // The in-process I_v over the committed graph gives the same |C|.
-  const BicoreIndex oracle =
-      BicoreIndex::Build(server.snapshots().Current()->graph());
-  EXPECT_EQ(resp.num_edges, oracle.QueryCommunity(0, 1, 1).edges.size());
-  EXPECT_EQ(resp.num_edges, 11u);  // merged the spare component
-  server.Shutdown();
 }
 
 // The satellite regression: a publish that touches one component leaves

@@ -2,9 +2,13 @@
 #define ABCS_TESTS_TEST_UTIL_H_
 
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "abcore/offsets.h"
 #include "common/rng.h"
+#include "core/bicore_index.h"
+#include "core/delta_index.h"
 #include "graph/bipartite_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -58,6 +62,24 @@ inline BipartiteGraph PaperFigure2Graph(uint32_t chain = 995) {
   if (!st.ok()) std::abort();
   return g;
 }
+
+/// A graph with its decomposition and the I_δ and I_v built from it: the
+/// unit a `serve::Server` serves. Not copyable, since both indexes point
+/// at `graph`.
+struct IndexedGraph {
+  BipartiteGraph graph;
+  BicoreDecomposition decomp;
+  DeltaIndex delta;
+  BicoreIndex bicore;
+
+  explicit IndexedGraph(BipartiteGraph g)
+      : graph(std::move(g)),
+        decomp(ComputeBicoreDecomposition(graph)),
+        delta(DeltaIndex::Build(graph, &decomp)),
+        bicore(BicoreIndex::Build(graph, &decomp)) {}
+  IndexedGraph(const IndexedGraph&) = delete;
+  IndexedGraph& operator=(const IndexedGraph&) = delete;
+};
 
 }  // namespace abcs::testing
 

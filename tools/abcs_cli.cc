@@ -308,11 +308,16 @@ abcs::VertexId UnifiedId(const abcs::BipartiteGraph& g, uint32_t q,
 
 /// What a query-like command operates on: the graph (edge-list file or the
 /// one embedded in an opened bundle) plus the bundle, when one backs the
-/// session — either via --bundle or via --index.
+/// session — either via --bundle or via --index. Without a bundle, the
+/// decomposition and the indexes are built on first use, all from one
+/// decomposition computed on every core.
 struct Session {
   abcs::BipartiteGraph graph_storage;
   std::unique_ptr<abcs::IndexBundle> bundle;
   const abcs::BipartiteGraph* graph = nullptr;
+  std::optional<abcs::BicoreDecomposition> decomp;
+  std::optional<abcs::DeltaIndex> delta;
+  std::optional<abcs::BicoreIndex> bicore;
 };
 
 abcs::Status LoadSession(const QueryArgs& args, Session* s) {
@@ -351,12 +356,34 @@ abcs::Status LoadQuery(const QueryArgs& args, Session* s, abcs::VertexId* q) {
   return abcs::Status::OK();
 }
 
-/// Resolves the I_δ that serves this session: the bundle's (zero-copy) or
-/// a fresh build.
-const abcs::DeltaIndex* GetIndex(const Session& s, abcs::DeltaIndex* owned) {
-  if (s.bundle != nullptr) return &s.bundle->delta_index();
-  *owned = abcs::DeltaIndex::Build(*s.graph);
-  return owned;
+/// The session's decomposition: the bundle's, or the edge list's computed
+/// once on every core (as `abcs index` does).
+const abcs::BicoreDecomposition& GetDecomposition(Session* s) {
+  if (s->bundle != nullptr) return s->bundle->decomposition();
+  if (!s->decomp) {
+    s->decomp = abcs::ComputeBicoreDecompositionParallel(*s->graph,
+                                                         /*num_threads=*/0);
+  }
+  return *s->decomp;
+}
+
+/// The session's I_δ: the bundle's (zero-copy) or built from
+/// GetDecomposition.
+const abcs::DeltaIndex& GetDeltaIndex(Session* s) {
+  if (s->bundle != nullptr) return s->bundle->delta_index();
+  if (!s->delta) {
+    s->delta = abcs::DeltaIndex::Build(*s->graph, &GetDecomposition(s));
+  }
+  return *s->delta;
+}
+
+/// The session's I_v, resolved as GetDeltaIndex resolves I_δ.
+const abcs::BicoreIndex& GetBicoreIndex(Session* s) {
+  if (s->bundle != nullptr) return s->bundle->bicore_index();
+  if (!s->bicore) {
+    s->bicore = abcs::BicoreIndex::Build(*s->graph, &GetDecomposition(s));
+  }
+  return *s->bicore;
 }
 
 void PrintSubgraph(const abcs::BipartiteGraph& g, const abcs::Subgraph& sub) {
@@ -599,19 +626,12 @@ int CmdQueryBatch(const QueryArgs& args) {
   const abcs::serve::WireKernels kernels =
       abcs::serve::WireMethodKernels(args.method);
   const abcs::QueryMethod method = kernels.retrieval;
-  abcs::DeltaIndex owned_delta;
-  abcs::BicoreIndex owned_bicore;
-  const abcs::DeltaIndex* delta = &owned_delta;
-  const abcs::BicoreIndex* bicore = &owned_bicore;
+  const abcs::DeltaIndex* delta = nullptr;
+  const abcs::BicoreIndex* bicore = nullptr;
   if (method == abcs::QueryMethod::kDelta) {
-    delta = GetIndex(session, &owned_delta);
+    delta = &GetDeltaIndex(&session);
   } else if (method == abcs::QueryMethod::kBicore) {
-    // A bundle carries I_v too, so bicore batches skip the rebuild.
-    if (session.bundle != nullptr) {
-      bicore = &session.bundle->bicore_index();
-    } else {
-      owned_bicore = abcs::BicoreIndex::Build(g, nullptr, /*num_threads=*/0);
-    }
+    bicore = &GetBicoreIndex(&session);
   } else if (!args.index_path.empty()) {
     // Silently ignoring --index would hide a no-op behind an
     // apparently-used index file.
@@ -660,10 +680,9 @@ int CmdQuery(const QueryArgs& args) {
   const abcs::Status st = LoadQuery(args, &session, &q);
   if (!st.ok()) return Fail(st);
   const abcs::BipartiteGraph& g = *session.graph;
-  abcs::DeltaIndex owned;
-  const abcs::DeltaIndex* index = GetIndex(session, &owned);
+  const abcs::DeltaIndex& index = GetDeltaIndex(&session);
   abcs::Timer timer;
-  const abcs::Subgraph c = index->QueryCommunity(q, args.alpha, args.beta);
+  const abcs::Subgraph c = index.QueryCommunity(q, args.alpha, args.beta);
   std::printf("# (%u,%u)-community of %s%u in %.2e s\n", args.alpha,
               args.beta, args.lower_side ? "l" : "u", args.q,
               timer.Seconds());
@@ -677,8 +696,9 @@ int CmdScs(const QueryArgs& args) {
   const abcs::Status st = LoadQuery(args, &session, &q);
   if (!st.ok()) return Fail(st);
   const abcs::BipartiteGraph& g = *session.graph;
-  abcs::DeltaIndex owned;
-  const abcs::DeltaIndex* index = GetIndex(session, &owned);
+  // The baseline peels the whole graph itself and needs no index.
+  const abcs::DeltaIndex* index =
+      args.baseline ? nullptr : &GetDeltaIndex(&session);
 
   abcs::Timer timer;
   abcs::ScsResult result;
@@ -722,11 +742,9 @@ int CmdProfile(const QueryArgs& args) {
   const abcs::Status st = LoadQuery(args, &session, &q);
   if (!st.ok()) return Fail(st);
   const abcs::BipartiteGraph& g = *session.graph;
-  abcs::DeltaIndex owned;
-  const abcs::DeltaIndex* index = GetIndex(session, &owned);
   // For `profile`, alpha/beta play the role of grid bounds.
   const abcs::SignificanceProfile profile = abcs::ComputeSignificanceProfile(
-      g, *index, q, args.alpha, args.beta);
+      g, GetDeltaIndex(&session), q, args.alpha, args.beta);
   std::printf("# f(R) for %s%u; rows alpha=1..%u, cols beta=1..%u "
               "('-' = no community)\n",
               args.lower_side ? "l" : "u", args.q, args.alpha, args.beta);
@@ -831,25 +849,14 @@ int CmdServe(const ServeArgs& args) {
   const abcs::BipartiteGraph& g = *session.graph;
 
   // The daemon serves every method, so it needs both indexes resident: the
-  // bundle maps them zero-copy; a raw edge list pays one build at startup.
-  abcs::DeltaIndex owned_delta;
-  const abcs::DeltaIndex* delta = GetIndex(session, &owned_delta);
-  abcs::BicoreIndex owned_bicore;
-  const abcs::BicoreIndex* bicore = nullptr;
-  if (session.bundle != nullptr) {
-    bicore = &session.bundle->bicore_index();
-  } else {
-    owned_bicore = abcs::BicoreIndex::Build(g, nullptr, /*num_threads=*/0);
-    bicore = &owned_bicore;
-  }
-
+  // bundle maps them zero-copy; a raw edge list pays one decomposition and
+  // both index builds at startup, and the update writer forks its state
+  // from that same decomposition.
   abcs::serve::ServerOptions options = args.options;
   options.bundle_path = args.bundle_path;
-  if (session.bundle != nullptr) {
-    // Seeds the update writer's maintained state without re-peeling.
-    options.seed_decomp = &session.bundle->decomposition();
-  }
-  abcs::serve::Server server(g, delta, bicore, options);
+  abcs::serve::Server server(g, GetDecomposition(&session),
+                             GetDeltaIndex(&session), GetBicoreIndex(&session),
+                             options);
   st = server.Start();
   if (!st.ok()) return Fail(st);
 
