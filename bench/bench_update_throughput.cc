@@ -7,9 +7,9 @@
 //              BicoreDecomposition (offsets are topology-only), so the
 //              epoch cost is the two index rebuilds alone.
 //   churn    — topology batches: every op pair removes an existing edge
-//              and reinserts it. The publish recomputes the
-//              decomposition before rebuilding, the full
-//              copy-on-write-at-commit price.
+//              and reinserts it. The publish re-peels the decomposition
+//              once before rebuilding, the full copy-on-write-at-commit
+//              price.
 //
 // Each cycle enqueues one batch plus a kCommit and waits for the commit
 // callback, so the measured commit latency is exactly what a client sees
@@ -173,10 +173,6 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const bool weights_only : {true, false}) {
     for (const uint32_t batch : {1u, 16u, 64u, 256u}) {
-      // Churn applies remove+insert maintenance per op (orders of
-      // magnitude dearer than a reweight); cap its sweep so the bench
-      // stays CI-sized.
-      if (!weights_only && batch > 64) continue;
       const Row row = RunConfig(ds, delta, bicore, weights_only, batch,
                                 commits);
       rows.push_back(row);

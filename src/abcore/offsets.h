@@ -30,9 +30,6 @@ std::vector<uint32_t> ComputeBetaOffsets(const BipartiteGraph& g,
 /// Callers running many peels keep one instance so repeated recomputes
 /// stop allocating 3×O(n) arrays per call (capacity is retained across
 /// uses) — e.g. the naive decomposition baseline's 2δ peels.
-/// `DynamicDeltaIndex` applies the same pattern to its scoped recomputes
-/// through its own member buffers (its peel needs boundary-expiry state
-/// these plain entry points don't model).
 struct OffsetWorkspace {
   std::vector<uint32_t> offset;
   std::vector<uint32_t> deg;

@@ -14,10 +14,10 @@
 namespace abcs {
 
 /// \brief The shared vertex-peeling kernels. The (α,β)-core peels,
-/// offset/level decompositions, k-core numbers, scoped index maintenance
-/// and the SCS brute-force oracle's weight-filtered peel are the two
-/// shapes below, parameterised over an adjacency functor so the same code
-/// runs on `BipartiteGraph` CSR arcs and the maintenance adjacency lists.
+/// offset/level decompositions, k-core numbers and the SCS brute-force
+/// oracle's weight-filtered peel are the two shapes below, parameterised
+/// over an adjacency functor so the same code runs on `BipartiteGraph` CSR
+/// arcs under any edge filter.
 /// The SCS kernels are not: they kill and restore *edges* of a weight-rank
 /// `LocalGraph` under an undo journal, through `RankPeel`
 /// (src/core/rank_peel.h).
@@ -96,10 +96,10 @@ void ThresholdPeel(uint32_t num_vertices, std::vector<uint32_t>& deg,
 }
 
 /// \brief Lent working storage for `LevelPeeler`: the degree bucket queue
-/// and the cascade stack. A caller that runs many peels (scoped index
-/// maintenance, the per-τ ranked peels of the nested-core decomposition)
-/// keeps one instance and stops paying an O(max_degree) bucket-vector
-/// allocation per peel; capacity is retained across uses.
+/// and the cascade stack. A caller that runs many peels (the per-τ ranked
+/// peels of the nested-core decomposition) keeps one instance and stops
+/// paying an O(max_degree) bucket-vector allocation per peel; capacity is
+/// retained across uses.
 struct LevelPeelScratch {
   std::vector<std::vector<VertexId>> buckets;
   std::vector<VertexId> cascade;
@@ -128,9 +128,7 @@ struct LevelPeelScratch {
 /// α-offsets at fixed β), Definition 6.
 ///
 /// Driving sequence: `Start(vertices)` once, then `RunLevel(level)` for
-/// `level = 1, 2, …` strictly increasing; `Decrement` may be interleaved
-/// (between or after `RunLevel` calls at the current level) for external
-/// degree-support changes, e.g. boundary expiries in scoped maintenance.
+/// `level = 1, 2, …` strictly increasing.
 template <typename ForEachNeighbor, typename IsFixed, typename OnRemove>
 class LevelPeeler {
  public:
@@ -194,20 +192,6 @@ class LevelPeeler {
       Cascade(level);
     }
     bucket.clear();
-  }
-
-  /// External degree decrement of `v` attributed to `level` (e.g. a
-  /// boundary support expiring in scoped maintenance), cascading if `v`
-  /// falls below its constraint.
-  void Decrement(VertexId v, uint32_t level) {
-    if (!alive_[v]) return;
-    --deg_[v];
-    if (Violates(v, level)) {
-      Remove(v, level);
-      Cascade(level);
-    } else if (!is_fixed_(v)) {
-      buckets_[deg_[v]].push_back(v);
-    }
   }
 
   uint32_t alive_count() const { return alive_count_; }

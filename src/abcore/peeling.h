@@ -27,7 +27,7 @@ CoreResult ComputeAlphaBetaCore(const BipartiteGraph& g, uint32_t alpha,
                                 uint32_t beta);
 
 /// \brief In-place peeling over caller-owned state, used by algorithms that
-/// repeatedly shrink a working subgraph (SCS-Peel, maintenance).
+/// repeatedly shrink a working subgraph (SCS-Peel).
 ///
 /// On entry `deg[v]` must be the degree of `v` in the subgraph induced by
 /// `alive`. Peels until every alive upper vertex has deg ≥ alpha and every

@@ -33,6 +33,14 @@ void FaultInjector::Arm(const std::string& point, Action action,
 
 namespace {
 
+/// Parses all of `text` as a decimal count: no sign, blank or trailing
+/// byte is accepted.
+bool ParseCount(std::string_view text, uint64_t* out) {
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, *out);
+  return ec == std::errc() && end == last;
+}
+
 /// Arms `point` or `point=short:N`, N a byte count parsed to its end.
 Status ArmCrashSpec(FaultInjector& injector, const std::string& spec) {
   const std::size_t eq = spec.find('=');
@@ -42,14 +50,11 @@ Status ArmCrashSpec(FaultInjector& injector, const std::string& spec) {
     return Status::OK();
   }
   const std::string_view what = std::string_view(spec).substr(eq + 1);
-  if (!point.empty() && what.starts_with("short:")) {
-    const char* last = what.data() + what.size();
-    uint64_t bytes = 0;
-    const auto [end, ec] = std::from_chars(what.data() + 6, last, bytes);
-    if (ec == std::errc() && end == last) {
-      injector.Arm(point, FaultInjector::Action::kShortWrite, bytes);
-      return Status::OK();
-    }
+  uint64_t bytes = 0;
+  if (!point.empty() && what.starts_with("short:") &&
+      ParseCount(what.substr(6), &bytes)) {
+    injector.Arm(point, FaultInjector::Action::kShortWrite, bytes);
+    return Status::OK();
   }
   return Status::InvalidArgument(
       "crash fault spec must be point or point=short:N: " + spec);
@@ -127,9 +132,8 @@ Status NetFaultInjector::ArmSpec(const std::string& spec) {
   std::string action = spec.substr(eq + 1);
   const std::size_t at = action.find('@');
   if (at != std::string::npos) {
-    char* end = nullptr;
-    f.every = std::strtoull(action.c_str() + at + 1, &end, 10);
-    if (f.every == 0 || end == nullptr || *end != '\0') {
+    if (!ParseCount(std::string_view(action).substr(at + 1), &f.every) ||
+        f.every == 0) {
       return Status::InvalidArgument("bad @every in net fault spec: " + spec);
     }
     action.resize(at);
@@ -137,13 +141,9 @@ Status NetFaultInjector::ArmSpec(const std::string& spec) {
   const std::size_t colon = action.find(':');
   std::string name = action.substr(0, colon);
   uint64_t arg = 0;
-  if (colon != std::string::npos) {
-    char* end = nullptr;
-    arg = std::strtoull(action.c_str() + colon + 1, &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("bad argument in net fault spec: " +
-                                     spec);
-    }
+  if (colon != std::string::npos &&
+      !ParseCount(std::string_view(action).substr(colon + 1), &arg)) {
+    return Status::InvalidArgument("bad argument in net fault spec: " + spec);
   }
   if (name == "reset") {
     f.kind = ActionKind::kReset;

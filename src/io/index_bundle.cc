@@ -855,8 +855,8 @@ Status BundleAccess::Open(const std::string& path,
                                   &as.arena->start));
     ABCS_RETURN_NOT_OK(CheckStartArray(ctx, as.start_name, as.arena->start));
     // No vertex can own more than δ offset levels; consumers size their
-    // dense tables by δ and trust it (DynamicDeltaIndex seeds its per-τ
-    // rows from these slices), so an oversized slice must die here.
+    // per-τ tables by δ and trust it (a bicore rebuild's level histogram
+    // and cursors), so an oversized slice must die here.
     for (uint64_t v = 0; v < n; ++v) {
       if (as.arena->start[v + 1] - as.arena->start[v] > hdr.delta) {
         return ctx.Corrupt(std::string(as.start_name) +

@@ -91,8 +91,9 @@ class QueryMemo {
 
   /// Publish-time selective invalidation. Realigns the memo to
   /// `new_epoch`, then drops exactly the entries the batch could have
-  /// affected. `touched` marks every vertex whose offsets may have
-  /// changed, already expanded by one hop in the NEW graph (a community
+  /// affected. `touched` marks the batch's insert/remove endpoints and
+  /// every vertex whose offsets changed, already expanded by one hop in
+  /// the NEW graph (a community
   /// can gain a vertex whose own offsets changed while its members'
   /// didn't; the expansion catches the member it attaches to). With
   /// `flush_all` (δ changed, or no summary available) everything goes.

@@ -114,9 +114,9 @@ struct ServeStats {
 /// executes against that frozen state, so a concurrent publish can never
 /// shear a reader — each response is computed entirely against the epoch
 /// it reports in `WireResponse::epoch`. With `enable_updates` a
-/// SnapshotManager writer thread applies kUpdate frames through
-/// incremental maintenance and publishes successor snapshots at commit
-/// boundaries; the memo is invalidated selectively per publish.
+/// SnapshotManager writer thread applies kUpdate frames to its edge set
+/// and publishes successor snapshots at commit boundaries; the memo is
+/// invalidated selectively per publish.
 ///
 /// Threading model: one accept thread, one reader thread per connection
 /// (bounded by max_connections), `num_threads` query workers, one

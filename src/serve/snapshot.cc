@@ -1,8 +1,10 @@
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
+#include "graph/graph_builder.h"
 #include "io/index_bundle.h"
 
 namespace abcs::serve {
@@ -20,6 +22,14 @@ template <typename T>
 std::shared_ptr<const T> Alias(const std::shared_ptr<const IndexBundle>& owner,
                                const T& part) {
   return std::shared_ptr<const T>(owner, &part);
+}
+
+/// True iff `v` holds the same offset slice in both arenas.
+bool SameSlice(const OffsetArena& a, const OffsetArena& b, VertexId v) {
+  return std::equal(a.values.data() + a.start[v],
+                    a.values.data() + a.start[v + 1],
+                    b.values.data() + b.start[v],
+                    b.values.data() + b.start[v + 1]);
 }
 
 }  // namespace
@@ -71,12 +81,23 @@ void SnapshotManager::set_publish_hook(PublishHook hook) {
 
 Status SnapshotManager::Start() {
   if (started_) return Status::InvalidArgument("manager already started");
-  // The one O(n·δ + m) fork of the served state into the writer's mutable
-  // copy; with the seed's decomposition in hand this is copies only, no
-  // peels. Nothing has been published yet, so Current() is the seed.
+  // Nothing has been published yet, so Current() is the seed.
   const std::shared_ptr<const Snapshot> seed = Current();
-  dyn_ = std::make_unique<DynamicDeltaIndex>(seed->graph(),
-                                             seed->decomposition());
+  const BipartiteGraph& g = seed->graph();
+  num_upper_ = g.NumUpper();
+  adj_.resize(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
+  }
+  edges_.assign(g.Edges().begin(), g.Edges().end());
+  edge_alive_.assign(edges_.size(), 1);
+  if (seed->decomposition() != nullptr) {
+    last_decomp_ = std::shared_ptr<const BicoreDecomposition>(
+        seed, seed->decomposition());
+  } else {
+    last_decomp_ = std::make_shared<const BicoreDecomposition>(
+        ComputeBicoreDecompositionParallel(g));
+  }
   started_ = true;
   writer_ = std::thread(&SnapshotManager::WriterLoop, this);
   return Status::OK();
@@ -167,26 +188,47 @@ void SnapshotManager::WriterLoop() {
 void SnapshotManager::Apply(PendingOp& op) {
   WireStatus ws = WireStatus::kOk;
   uint64_t epoch = Epoch();
-  const uint32_t num_upper = dyn_->NumUpper();
-  const uint32_t num_lower = dyn_->NumVertices() - num_upper;
+  const uint32_t num_lower = static_cast<uint32_t>(adj_.size()) - num_upper_;
+  const VertexId u = op.u;
+  const VertexId v = num_upper_ + op.v;
   if (op.op != UpdateOp::kCommit &&
-      (op.u >= num_upper || op.v >= num_lower)) {
+      (op.u >= num_upper_ || op.v >= num_lower)) {
     ws = WireStatus::kInvalidVertex;
   } else {
+    const EdgeId eid =
+        op.op == UpdateOp::kCommit ? kInvalidEdge : FindEdge(u, v);
     switch (op.op) {
       case UpdateOp::kInsertEdge: {
-        const Status st = dyn_->InsertEdge(op.u, num_upper + op.v, op.weight);
-        ws = st.ok() ? WireStatus::kOk : WireStatus::kConflict;
+        if (eid != kInvalidEdge) {
+          ws = WireStatus::kConflict;
+          break;
+        }
+        const EdgeId added = static_cast<EdgeId>(edges_.size());
+        edges_.push_back(Edge{u, v, op.weight});
+        edge_alive_.push_back(1);
+        adj_[u].push_back(Arc{v, added});
+        adj_[v].push_back(Arc{u, added});
+        endpoints_.insert(endpoints_.end(), {u, v});
         break;
       }
       case UpdateOp::kRemoveEdge: {
-        const Status st = dyn_->RemoveEdge(op.u, num_upper + op.v);
-        ws = st.ok() ? WireStatus::kOk : WireStatus::kConflict;
+        if (eid == kInvalidEdge) {
+          ws = WireStatus::kConflict;
+          break;
+        }
+        const auto same_edge = [eid](const Arc& a) { return a.eid == eid; };
+        std::erase_if(adj_[u], same_edge);
+        std::erase_if(adj_[v], same_edge);
+        edge_alive_[eid] = 0;
+        endpoints_.insert(endpoints_.end(), {u, v});
         break;
       }
       case UpdateOp::kReweightEdge: {
-        const Status st = dyn_->UpdateWeight(op.u, num_upper + op.v, op.weight);
-        ws = st.ok() ? WireStatus::kOk : WireStatus::kConflict;
+        if (eid == kInvalidEdge) {
+          ws = WireStatus::kConflict;
+          break;
+        }
+        edges_[eid].w = op.weight;
         break;
       }
       case UpdateOp::kCommit: {
@@ -209,19 +251,52 @@ void SnapshotManager::Apply(PendingOp& op) {
   if (op.done) op.done(ws, epoch);
 }
 
+EdgeId SnapshotManager::FindEdge(VertexId u, VertexId v) const {
+  for (const Arc& a : adj_[u]) {
+    if (a.to == v) return a.eid;
+  }
+  return kInvalidEdge;
+}
+
+BipartiteGraph SnapshotManager::ExportGraph() const {
+  GraphBuilder builder;
+  builder.Reserve(num_upper_, static_cast<uint32_t>(adj_.size()) - num_upper_,
+                  static_cast<uint32_t>(edges_.size()));
+  for (EdgeId e = 0; e < edges_.size(); ++e) {
+    if (!edge_alive_[e]) continue;
+    builder.AddEdge(edges_[e].u, edges_[e].v - num_upper_, edges_[e].w);
+  }
+  BipartiteGraph out;
+  Status st = builder.Build(&out);
+  (void)st;
+  return out;
+}
+
 uint64_t SnapshotManager::Publish() {
-  UpdateSummary summary = dyn_->DrainSummary();
-  auto graph = std::make_shared<const BipartiteGraph>(dyn_->ExportGraph());
+  auto graph = std::make_shared<const BipartiteGraph>(ExportGraph());
+  const uint32_t n = graph->NumVertices();
+  UpdateSummary summary;
+  summary.topology_changed = !endpoints_.empty();
+  std::vector<uint8_t> touched(n, 0);
+  for (const VertexId x : endpoints_) touched[x] = 1;
+  endpoints_.clear();
   // Structural sharing: offsets are topology-only, so a weights-only batch
-  // republishes the previous decomposition untouched.
-  std::shared_ptr<const BicoreDecomposition> decomp;
-  const bool topology =
-      summary.topology_changed || summary.delta_changed || !last_decomp_;
-  if (topology) {
+  // republishes the previous decomposition untouched. A topology batch
+  // re-peels once and touches every vertex whose offsets moved.
+  std::shared_ptr<const BicoreDecomposition> decomp = last_decomp_;
+  if (summary.topology_changed) {
     decomp = std::make_shared<const BicoreDecomposition>(
-        dyn_->ExportDecomposition());
-  } else {
-    decomp = last_decomp_;
+        ComputeBicoreDecomposition(*graph));
+    summary.delta_changed = decomp->delta != last_decomp_->delta;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!SameSlice(decomp->alpha, last_decomp_->alpha, v) ||
+          !SameSlice(decomp->beta, last_decomp_->beta, v)) {
+        touched[v] = 1;
+      }
+    }
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    if (touched[v]) summary.touched.push_back(v);
   }
   last_decomp_ = decomp;
   auto delta = std::make_shared<const DeltaIndex>(
@@ -239,12 +314,7 @@ uint64_t SnapshotManager::Publish() {
   // whose members' own offsets never changed; the member it attaches to
   // is a neighbour of a touched vertex.
   const BipartiteGraph& g = snap->graph();
-  std::vector<uint8_t> touched(g.NumVertices(), 0);
   for (const VertexId x : summary.touched) {
-    if (x < touched.size()) touched[x] = 1;
-  }
-  for (const VertexId x : summary.touched) {
-    if (x >= g.NumVertices()) continue;
     for (const Arc& a : g.Neighbors(x)) touched[a.to] = 1;
   }
 
@@ -269,7 +339,7 @@ uint64_t SnapshotManager::Publish() {
 
 void SnapshotManager::MaybeCompact() {
   if (options_.compact_path.empty() || !dirty_since_compact_) return;
-  // Dirty implies a publish, and every published epoch owns its
+  // Dirty implies a publish, and every published epoch carries a
   // decomposition.
   const std::shared_ptr<const Snapshot> snap = Current();
   SaveBundleOptions save_opts;

@@ -16,13 +16,28 @@
 #include "common/status.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
-#include "core/maintenance.h"
 #include "core/query_engine.h"
 #include "graph/bipartite_graph.h"
 #include "serve/protocol.h"
 
 namespace abcs {
+
 class IndexBundle;
+
+/// \brief What one publish changed — the contract the serve memo's
+/// selective invalidation relies on (src/serve/memo.h).
+///
+/// `touched` is exact and deduplicated: the endpoints of the batch's
+/// applied inserts and removes, plus every vertex whose α or β offset
+/// slice differs between the previous decomposition and the new one. Any
+/// vertex absent from it kept all its offsets, hence its core membership,
+/// for every (α,β).
+struct UpdateSummary {
+  bool topology_changed = false;  ///< any insert/remove applied
+  bool delta_changed = false;     ///< δ differs (global effect)
+  std::vector<VertexId> touched;
+};
+
 }  // namespace abcs
 
 namespace abcs::serve {
@@ -110,13 +125,17 @@ struct UpdateStats {
 };
 
 /// \brief The single-writer epoch chain: drains a bounded update queue
-/// through `DynamicDeltaIndex` maintenance and publishes immutable
-/// snapshots.
+/// into the writer's edge set and publishes immutable snapshots.
 ///
 /// Seeding: epoch 1 is a snapshot that borrows the caller's graph,
 /// decomposition and indexes, and it is the manager's only record of
-/// them. `Start` forks the writer's maintained state from that snapshot,
-/// reusing its decomposition instead of re-peeling.
+/// them. `Start` copies the writer's edge set from that snapshot and keeps
+/// its decomposition as the one the first publish compares against.
+///
+/// Publishing: the writer holds edges only, no offsets. A topology batch
+/// re-peels the whole exported graph once (serial
+/// `ComputeBicoreDecomposition`); a weights-only batch shares the previous
+/// decomposition. Either way both indexes are rebuilt over the new graph.
 ///
 /// Threading contract:
 ///  - Any thread calls `Current()` (epoch pin) and `Enqueue()`.
@@ -142,7 +161,7 @@ class SnapshotManager {
 
   /// Seeds epoch 1 as a borrowed snapshot of `g`, `decomp` and both
   /// indexes (all must outlive the manager). `Start` seeds the writer from
-  /// that snapshot; with `decomp` null it re-peels the offsets there.
+  /// that snapshot; with `decomp` null it peels the offsets there.
   SnapshotManager(const BipartiteGraph& g, const DeltaIndex* delta,
                   const BicoreIndex* bicore, const BicoreDecomposition* decomp,
                   SnapshotManagerOptions options);
@@ -153,9 +172,9 @@ class SnapshotManager {
 
   void set_publish_hook(PublishHook hook);  ///< before Start only
 
-  /// Spawns the writer thread. The dynamic index is seeded here from the
-  /// seed snapshot's graph and decomposition — the one O(n·δ) copy of the
-  /// maintained state.
+  /// Spawns the writer thread after copying the seed snapshot's edges
+  /// into the writer state. It peels only when the seed carries no
+  /// decomposition.
   Status Start();
 
   /// Graceful writer shutdown (idempotent): reject new ops, apply the
@@ -197,6 +216,11 @@ class SnapshotManager {
 
   void WriterLoop();
   void Apply(PendingOp& op);
+  /// The live edge id of (u, v) in unified ids, or kInvalidEdge.
+  EdgeId FindEdge(VertexId u, VertexId v) const;
+  /// Compacts the alive edges into an immutable graph (fresh edge ids,
+  /// same vertex ids).
+  BipartiteGraph ExportGraph() const;
   /// Builds + publishes a new snapshot from the writer state; returns its
   /// epoch.
   uint64_t Publish();
@@ -205,11 +229,17 @@ class SnapshotManager {
   const SnapshotManagerOptions options_;
   PublishHook publish_hook_;
 
-  std::unique_ptr<DynamicDeltaIndex> dyn_;  ///< writer thread only
-  std::shared_ptr<const BicoreDecomposition> last_decomp_;  ///< ditto
-  uint64_t ops_since_publish_ = 0;                          ///< ditto
-  uint64_t commits_since_compact_ = 0;                      ///< ditto
-  bool dirty_since_compact_ = false;                        ///< ditto
+  // Writer state, touched by `Start` and then by the writer thread only.
+  uint32_t num_upper_ = 0;
+  std::vector<std::vector<Arc>> adj_;
+  std::vector<Edge> edges_;  ///< one slot per edge id ever created
+  std::vector<uint8_t> edge_alive_;
+  /// Endpoints of the inserts and removes applied since the last publish.
+  std::vector<VertexId> endpoints_;
+  std::shared_ptr<const BicoreDecomposition> last_decomp_;
+  uint64_t ops_since_publish_ = 0;
+  uint64_t commits_since_compact_ = 0;
+  bool dirty_since_compact_ = false;
 
   mutable std::mutex current_mu_;
   std::shared_ptr<const Snapshot> current_;  ///< guarded by current_mu_

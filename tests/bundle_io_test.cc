@@ -1,6 +1,6 @@
 // Tests for the ABCSPAK2 index bundle: round-trip bit-identity of all
 // three query paths (read and mmap opens, raw and compressed saves),
-// zero-copy span wiring, copy-on-write seeding of the dynamic index,
+// zero-copy span wiring, seeding the update writer from an opened bundle,
 // the graph topology/weight checksums and the staleness detection built
 // on them, v1-format compatibility, and a corruption battery — truncation,
 // bad magic, wrong version, flipped bytes, TOC overrun, plus the
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,9 +23,9 @@
 #include "common/rng.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
-#include "core/maintenance.h"
 #include "core/query_engine.h"
 #include "io/index_bundle.h"
+#include "serve/snapshot.h"
 #include "test_util.h"
 
 namespace abcs {
@@ -261,31 +262,47 @@ TEST_F(BundleIoTest, UnverifiedOpenServesIdenticalQueries) {
   }
 }
 
-// Copy-on-write: the dynamic index seeds its mutable rows straight from
-// the bundle's (possibly mmap'd) arenas — no offset peel — and then
-// behaves exactly like one seeded by recomputation.
-TEST_F(BundleIoTest, DynamicIndexSeedsCopyOnWriteFromBundle) {
+// The update writer starts straight from an opened bundle: its first
+// topology commit serves what a fresh peel of the new graph gives, and the
+// bundle's arenas stay mapped, never copied.
+TEST_F(BundleIoTest, SnapshotManagerStartsFromBundle) {
   const BipartiteGraph g = RandomWeightedGraph(30, 30, 250, 19);
   BuildAndSave(g);
   std::unique_ptr<IndexBundle> bundle;
   ASSERT_TRUE(OpenIndexBundle(path_, &bundle).ok());
 
-  DynamicDeltaIndex from_bundle(bundle->graph(), &bundle->decomposition());
-  DynamicDeltaIndex recomputed(g);
-  ASSERT_EQ(from_bundle.delta(), recomputed.delta());
-  for (uint32_t tau = 1; tau <= recomputed.delta(); ++tau) {
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      ASSERT_EQ(from_bundle.OffsetAlpha(tau, v),
-                recomputed.OffsetAlpha(tau, v));
-      ASSERT_EQ(from_bundle.OffsetBeta(tau, v), recomputed.OffsetBeta(tau, v));
+  serve::SnapshotManager manager(bundle->graph(), &bundle->delta_index(),
+                                 &bundle->bicore_index(),
+                                 &bundle->decomposition(), {});
+  ASSERT_TRUE(manager.Start().ok());
+  // An edge absent at u0, so the commit changes topology.
+  const auto adjacent = [&](uint32_t lower) {
+    for (const Arc& a : g.Neighbors(0)) {
+      if (a.to == g.LowerId(lower)) return true;
     }
-  }
-  // Mutating after the seed must not touch the mapped bundle (the rows are
-  // owned copies); both instances keep agreeing through an update.
-  ASSERT_TRUE(from_bundle.InsertEdge(0, g.NumUpper() + 1, 3.0).ok() ==
-              recomputed.InsertEdge(0, g.NumUpper() + 1, 3.0).ok());
-  EXPECT_EQ(from_bundle.ExportDecomposition(),
-            recomputed.ExportDecomposition());
+    return false;
+  };
+  uint32_t v = 0;
+  while (v < g.NumLower() && adjacent(v)) ++v;
+  ASSERT_LT(v, g.NumLower()) << "fixture has no absent edge at u0";
+  std::promise<serve::WireStatus> inserted;
+  std::promise<uint64_t> committed;
+  manager.Enqueue(serve::UpdateOp::kInsertEdge, 0, v, 3.0,
+                  [&](serve::WireStatus ws, uint64_t) {
+                    inserted.set_value(ws);
+                  });
+  manager.Enqueue(serve::UpdateOp::kCommit, 0, 0, 0.0,
+                  [&](serve::WireStatus, uint64_t epoch) {
+                    committed.set_value(epoch);
+                  });
+  ASSERT_EQ(inserted.get_future().get(), serve::WireStatus::kOk);
+  ASSERT_EQ(committed.get_future().get(), 2u);
+
+  const std::shared_ptr<const serve::Snapshot> snap = manager.Current();
+  EXPECT_EQ(snap->graph().NumEdges(), g.NumEdges() + 1);
+  EXPECT_EQ(*snap->decomposition(),
+            ComputeBicoreDecomposition(snap->graph()));
+  manager.Drain();
   EXPECT_TRUE(bundle->ZeroCopy());  // bundle arenas untouched
 }
 
@@ -605,8 +622,8 @@ TEST_F(BundleCorruptionTest, ZeroWidthTableBaseSlotIsCorruption) {
 }
 
 // A re-signed decomposition whose start table gives one vertex a slice
-// longer than δ must be rejected: consumers size dense per-τ tables by δ
-// (DynamicDeltaIndex's seed rows) and would write past them otherwise.
+// longer than δ must be rejected: consumers size per-τ tables by δ (a
+// bicore rebuild's level histogram) and would write past them otherwise.
 TEST_F(BundleCorruptionTest, DecompositionSliceLongerThanDeltaIsCorruption) {
   const SectionLoc start = FindSection(bytes_, "dc.a.start");
   ASSERT_TRUE(start.found);

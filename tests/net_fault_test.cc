@@ -146,7 +146,8 @@ TEST_F(NetFaultTest, EnvArmsWellFormedCrashSpec) {
 TEST_F(NetFaultTest, EnvRejectsMalformedSpecsWithExitTwo) {
   for (const char* spec :
        {"bundle_save.sections=short:x", "bundle_save.after_fsync=bogus",
-        "bundle_save.sections=short:", "net.x=bogus"}) {
+        "bundle_save.sections=short:", "net.x=bogus", "net.a=short:-1",
+        "net.b=delay: 7", "net.c=eintr:+3@ 2"}) {
     EXPECT_EXIT(
         {
           ::setenv("ABCS_FAULT_INJECT", spec, 1);

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <ranges>
 
 #include "abcore/degeneracy.h"
 #include "abcore/offsets.h"
@@ -117,40 +116,6 @@ TEST(PeelKernelTest, ThresholdPeelOnRemoveSeesEveryRemoval) {
     EXPECT_EQ(d, deg[v]);
     EXPECT_GE(d, 3u);
   }
-}
-
-TEST(PeelKernelTest, LevelPeelerExternalDecrement) {
-  // A 3-regular-ish toy: u0..u2 complete to v0..v2 (all degrees 3), plus a
-  // pendant v3-u0. With fixed upper need 1, ranked (lower) levels equal
-  // β-offsets at α=1; externally decrementing a lower vertex mid-run must
-  // demote it at the current level.
-  const BipartiteGraph g = testing::MakeGraph({
-      {0, 0, 1.0}, {0, 1, 1.0}, {0, 2, 1.0},
-      {1, 0, 1.0}, {1, 1, 1.0}, {1, 2, 1.0},
-      {2, 0, 1.0}, {2, 1, 1.0}, {2, 2, 1.0},
-      {0, 3, 1.0},
-  });
-  const uint32_t n = g.NumVertices();
-  std::vector<uint32_t> deg(n);
-  for (VertexId v = 0; v < n; ++v) deg[v] = g.Degree(v);
-  std::vector<uint8_t> alive(n, 1);
-  std::vector<uint32_t> level_of(n, 0);
-  LevelPeeler peeler(
-      deg, alive, /*fixed_need=*/1, /*max_level=*/4, GraphNeighbors(g),
-      [&](VertexId v) { return g.IsUpper(v); },
-      [&](VertexId v, uint32_t level) { level_of[v] = level; });
-  peeler.Start(std::views::iota(VertexId{0}, n));
-  peeler.RunLevel(1);
-  // v0 (unified id 3) loses one support out of band at level 1: it now has
-  // effective degree 2 > 1, so it survives with a lazy re-bucket …
-  peeler.Decrement(3, 1);
-  EXPECT_EQ(alive[3], 1);
-  peeler.RunLevel(2);
-  // … and dies at level 2 (deg 2 ≤ 2) instead of its undisturbed level 3.
-  EXPECT_EQ(alive[3], 0);
-  EXPECT_EQ(level_of[3], 2u);
-  peeler.RunLevel(3);
-  EXPECT_EQ(peeler.alive_count(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -15,16 +16,17 @@
 #include <mutex>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "abcore/offsets.h"
 #include "common/rng.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
-#include "core/maintenance.h"
 #include "core/online_query.h"
 #include "io/index_bundle.h"
 #include "serve/client.h"
+#include "serve/memo.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "test_util.h"
@@ -234,6 +236,135 @@ TEST(SnapshotManagerTest, EveryPublishMatchesAFreshBuild) {
   }
   EXPECT_GT(weights_only, 0u);
   EXPECT_GT(topology, 0u);
+}
+
+// The publish hook's contract on a seeded reweight/insert/remove stream:
+// `touched` holds the batch's applied insert/remove endpoints and every
+// vertex whose offsets moved, `delta_changed` says exactly whether δ
+// moved, and a memo warmed on a (q, α, β) grid before each commit and
+// advanced by the hook keeps only retrieval entries that still equal a
+// fresh answer of the new epoch. A reweight lands in the published graph.
+TEST(SnapshotManagerTest, PublishTouchesEveryMovedVertex) {
+  ManagerHarness h(RandomWeightedGraph(16, 16, 48, 53));
+  const uint32_t n = h.graph.NumVertices();
+  const auto for_grid = [&](auto&& visit) {
+    for (VertexId q = 0; q < n; ++q) {
+      for (uint32_t a = 1; a <= 3; ++a) {
+        for (uint32_t b = 1; b <= 3; ++b) visit(q, a, b);
+      }
+    }
+  };
+  QueryMemo memo;
+  memo.SetEpoch(1);
+  // Set by the test thread before each commit is enqueued; the queue's
+  // lock orders these writes before the hook's reads.
+  std::shared_ptr<const Snapshot> before;
+  std::vector<VertexId> endpoints;
+  uint64_t kept = 0;
+  h.manager->set_publish_hook([&](const Snapshot& snap,
+                                  const UpdateSummary& summary,
+                                  const std::vector<uint8_t>& touched) {
+    const BicoreDecomposition& old_d = *before->decomposition();
+    const BicoreDecomposition& new_d = *snap.decomposition();
+    EXPECT_EQ(summary.delta_changed, old_d.delta != new_d.delta);
+    EXPECT_EQ(summary.topology_changed, !endpoints.empty());
+    std::vector<uint8_t> in_summary(n, 0);
+    for (const VertexId x : summary.touched) {
+      in_summary[x] = 1;
+      EXPECT_TRUE(touched[x]) << "bitmap misses summary vertex " << x;
+    }
+    for (const VertexId x : endpoints) {
+      EXPECT_TRUE(in_summary[x]) << "endpoint " << x << " not touched";
+    }
+    const uint32_t levels = std::max(old_d.delta, new_d.delta);
+    for (VertexId v = 0; v < n; ++v) {
+      for (uint32_t tau = 1; tau <= levels; ++tau) {
+        if (old_d.sa(tau, v) != new_d.sa(tau, v) ||
+            old_d.sb(tau, v) != new_d.sb(tau, v)) {
+          EXPECT_TRUE(in_summary[v]) << "offsets of " << v << " moved";
+          break;
+        }
+      }
+    }
+    memo.AdvanceEpoch(snap.epoch(), summary.topology_changed,
+                      summary.delta_changed, touched);
+    for_grid([&](VertexId q, uint32_t a, uint32_t b) {
+      MemoValue value;
+      if (!memo.Lookup(WireMethod::kDelta, a, b, q, &value, snap.epoch())) {
+        return;
+      }
+      ++kept;
+      const Subgraph fresh = QueryCommunityOnline(snap.graph(), q, a, b);
+      EXPECT_EQ(value.found, !fresh.Empty()) << q << " " << a << " " << b;
+      EXPECT_EQ(value.num_edges, fresh.edges.size())
+          << q << " " << a << " " << b;
+    });
+  });
+  ASSERT_TRUE(h.manager->Start().ok());
+
+  Rng rng(4242);
+  uint32_t topology = 0;
+  for (int batch = 0; batch < 24; ++batch) {
+    before = h.manager->Current();
+    const BipartiteGraph& g = before->graph();
+    for_grid([&](VertexId q, uint32_t a, uint32_t b) {
+      MemoValue value;
+      if (memo.Lookup(WireMethod::kDelta, a, b, q, &value, before->epoch())) {
+        return;
+      }
+      const Subgraph c = QueryCommunityOnline(g, q, a, b);
+      value.found = !c.Empty();
+      value.num_edges = static_cast<uint32_t>(c.edges.size());
+      memo.Insert(WireMethod::kDelta, a, b, q, g, c, value, before->epoch());
+    });
+
+    endpoints.clear();
+    std::vector<std::pair<uint32_t, uint32_t>> reweighted;
+    const uint64_t kind = rng.NextBounded(3);  // reweight, insert, remove
+    const int ops = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int i = 0; i < ops; ++i) {
+      uint32_t u = 0;
+      uint32_t v = 0;
+      if (kind == 1) {
+        u = static_cast<uint32_t>(rng.NextBounded(g.NumUpper()));
+        v = static_cast<uint32_t>(rng.NextBounded(g.NumLower()));
+      } else {
+        const Edge& e = g.GetEdge(
+            static_cast<EdgeId>(rng.NextBounded(g.NumEdges())));
+        u = e.u;
+        v = e.v - g.NumUpper();
+      }
+      const UpdateOp op = kind == 0   ? UpdateOp::kReweightEdge
+                          : kind == 1 ? UpdateOp::kInsertEdge
+                                      : UpdateOp::kRemoveEdge;
+      // 7.5 lies outside the fixture's 1..5 weights.
+      const WireStatus ws = h.Apply(op, u, v, 7.5);
+      ASSERT_TRUE(ws == WireStatus::kOk || ws == WireStatus::kConflict);
+      if (ws != WireStatus::kOk) continue;
+      if (kind == 0) {
+        reweighted.emplace_back(u, v);
+      } else {
+        endpoints.push_back(u);
+        endpoints.push_back(g.NumUpper() + v);
+      }
+    }
+    uint64_t epoch = 0;
+    ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0, &epoch), WireStatus::kOk);
+    if (epoch != before->epoch() && kind != 0) ++topology;
+    const std::shared_ptr<const Snapshot> after = h.manager->Current();
+    for (const auto& [u, v] : reweighted) {
+      uint32_t found = 0;
+      for (const Arc& a : after->graph().Neighbors(u)) {
+        if (a.to != after->graph().LowerId(v)) continue;
+        ++found;
+        EXPECT_EQ(after->graph().GetWeight(a.eid), 7.5);
+      }
+      EXPECT_EQ(found, 1u) << "reweighted edge " << u << "-" << v;
+    }
+  }
+  h.manager->Drain();
+  EXPECT_GT(topology, 0u);
+  EXPECT_GT(kept, 0u);
 }
 
 TEST(SnapshotManagerTest, DrainPublishesUncommittedTail) {
@@ -510,64 +641,6 @@ TEST(SnapshotServingTest, StressReadersObservePrefixConsistentEpochs) {
   EXPECT_EQ(stats.updates_applied, kSpares);
   EXPECT_EQ(stats.epochs_published, kSpares);
   EXPECT_EQ(stats.update_conflicts, 0u);
-}
-
-// ----------------------------------------------------- dynamic index ----
-
-TEST(DynamicDeltaIndexTest, EpochAndSummaryTrackMutations) {
-  const BipartiteGraph g = StressGraph(2);
-  DynamicDeltaIndex dyn(g);
-  EXPECT_EQ(dyn.Epoch(), 0u);
-
-  ASSERT_TRUE(dyn.InsertEdge(3, g.NumUpper() + 0, 1.0).ok());
-  EXPECT_EQ(dyn.Epoch(), 1u);
-  ASSERT_TRUE(dyn.UpdateWeight(0, g.NumUpper() + 0, 4.5).ok());
-  EXPECT_EQ(dyn.Epoch(), 2u);
-  EXPECT_FALSE(dyn.UpdateWeight(4, g.NumUpper() + 0, 1.0).ok())
-      << "reweighting an absent edge must fail";
-
-  UpdateSummary summary = dyn.DrainSummary();
-  EXPECT_EQ(summary.epoch, 2u);
-  EXPECT_TRUE(summary.topology_changed);
-  EXPECT_TRUE(summary.weights_changed);
-  // Both endpoints of the inserted edge are in the touched set.
-  std::vector<uint8_t> touched(g.NumVertices(), 0);
-  for (const VertexId x : summary.touched) touched[x] = 1;
-  EXPECT_TRUE(touched[3]);
-  EXPECT_TRUE(touched[g.NumUpper() + 0]);
-
-  // Drained: the next summary starts clean.
-  summary = dyn.DrainSummary();
-  EXPECT_FALSE(summary.topology_changed);
-  EXPECT_FALSE(summary.weights_changed);
-  EXPECT_TRUE(summary.touched.empty());
-
-  // Weights-only mutation reports weights_changed but not topology.
-  ASSERT_TRUE(dyn.UpdateWeight(0, g.NumUpper() + 1, 2.25).ok());
-  summary = dyn.DrainSummary();
-  EXPECT_FALSE(summary.topology_changed);
-  EXPECT_TRUE(summary.weights_changed);
-
-  // The exported graph carries the reweights.
-  const BipartiteGraph out = dyn.ExportGraph();
-  bool found = false;
-  for (const Arc& a : out.Neighbors(0)) {
-    if (a.to == out.NumUpper() + 0) {
-      EXPECT_EQ(out.GetEdge(a.eid).w, 4.5);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(DynamicDeltaIndexTest, ExportDecompositionMatchesFreshPeel) {
-  const BipartiteGraph g = StressGraph(3);
-  DynamicDeltaIndex dyn(g);
-  ASSERT_TRUE(dyn.InsertEdge(3, g.NumUpper() + 0, 1.0).ok());
-  ASSERT_TRUE(dyn.InsertEdge(4, g.NumUpper() + 1, 1.0).ok());
-  ASSERT_TRUE(dyn.RemoveEdge(5, g.NumUpper() + 5).ok());
-  const BipartiteGraph out = dyn.ExportGraph();
-  EXPECT_EQ(dyn.ExportDecomposition(), ComputeBicoreDecomposition(out));
 }
 
 }  // namespace
