@@ -3,13 +3,14 @@
 // publish regimes at several commit batch sizes.
 //
 //   reweight — weights-only batches: every op retunes an existing edge's
-//              significance. The publish reuses the predecessor's
-//              BicoreDecomposition (offsets are topology-only), so the
-//              epoch cost is the two index rebuilds alone.
+//              significance. The publish copies the graph with the new
+//              weights and shares the decomposition and both indexes of
+//              the last topology epoch (all three are topology-only), so
+//              the epoch cost is one O(m) graph copy.
 //   churn    — topology batches: every op pair removes an existing edge
-//              and reinserts it. The publish re-peels the decomposition
-//              once before rebuilding, the full copy-on-write-at-commit
-//              price.
+//              and reinserts it. The publish rebuilds the graph, re-peels
+//              the decomposition once and rebuilds both indexes, the full
+//              copy-on-write-at-commit price.
 //
 // Each cycle enqueues one batch plus a kCommit and waits for the commit
 // callback, so the measured commit latency is exactly what a client sees

@@ -1,9 +1,10 @@
 // Live updates (paper §III-B discussion): a service keeps serving
 // (α,β)-community queries while the rating stream mutates the graph, as
 // `abcs serve --enable-updates` does. A SnapshotManager's single writer
-// applies each edge insertion/removal to its edge set; every few steps a
-// commit re-peels the offsets once and publishes the next snapshot (graph,
-// decomposition, I_δ and I_v), and queries read the latest published one.
+// applies each edge insertion/removal to its pending batch; every few steps
+// a commit re-peels the offsets once and publishes the next snapshot
+// (graph, decomposition, I_δ and I_v), and queries read the latest
+// published one.
 
 #include <cstdio>
 #include <future>

@@ -80,8 +80,9 @@ cat > "$BATCH" <<'EOF'
 4 4 4
 EOF
 
+METHODS="online bicore delta scs-auto scs-peel scs-expand scs-binary"
 echo "== per-method identity: daemon vs offline batch runner"
-for method in online bicore delta scs-auto scs-peel scs-expand scs-binary; do
+for method in $METHODS; do
   "$ABCS" query --bundle "$BUNDLE" --batch "$BATCH" --method "$method" \
     --threads 2 2>/dev/null \
     | sed -e 's/ touched=[0-9]*//' -e 's/ touched_arcs=[0-9]*//' \
@@ -153,8 +154,11 @@ PORT2=$(cat "$PORT_FILE2")
 echo "== update daemon on port $PORT2"
 
 # Update traffic over edges known to exist (pulled from the generated
-# edge list): each batch bumps one edge's weight by 1.5, churns it out
-# and back at the new weight, then commits an epoch.
+# edge list): each of the first 24 batches bumps one edge's weight by
+# 1.5, churns it out and back at the new weight, then commits an epoch (a
+# topology commit); each of the next 24 only reweights one further edge
+# to twice its weight plus 0.25 and commits (a weights-only commit, which
+# shares the offsets and both indexes of the last topology epoch).
 UPDATES=$WORK/updates.txt
 POST_GRAPH=$WORK/bs_post.txt
 POST_BUNDLE=$WORK/bs_post.idx
@@ -163,10 +167,16 @@ awk '!/^%/ {
   printf "w %s %s %.6f\nr %s %s\ni %s %s %.6f\nc\n", $1, $2, w, $1, $2, $1, $2, w
   if (++n == 24) exit
 }' "$GRAPH" > "$UPDATES"
-# The same mutation applied offline: first 24 edges reweighted by +1.5.
+awk '!/^%/ && ++n > 24 {
+  printf "w %s %s %.6f\nc\n", $1, $2, 2 * $3 + 0.25
+  if (n == 48) exit
+}' "$GRAPH" >> "$UPDATES"
+# The same mutation applied offline: the first 24 edges reweighted by
+# +1.5, the next 24 to 2w + 0.25.
 awk 'BEGIN { n = 0 }
   /^%/ { print; next }
   n < 24 { printf "%s %s %.6f\n", $1, $2, $3 + 1.5; n++; next }
+  n < 48 { printf "%s %s %.6f\n", $1, $2, 2 * $3 + 0.25; n++; next }
   { print }' "$GRAPH" > "$POST_GRAPH"
 
 echo "== applying updates under concurrent query load"
@@ -178,7 +188,7 @@ wait "$LOAD_PID"
 
 echo "== post-update identity: daemon vs offline rebuild"
 "$ABCS" index "$POST_GRAPH" "$POST_BUNDLE" >/dev/null
-for method in online bicore delta; do
+for method in $METHODS; do
   "$ABCS" query --bundle "$POST_BUNDLE" --batch "$BATCH" --method "$method" \
     --threads 2 2>/dev/null \
     | sed -e 's/ touched=[0-9]*//' -e 's/ touched_arcs=[0-9]*//' \
@@ -214,7 +224,7 @@ if [[ ! -s "$COMPACT" ]]; then
   echo "serve_soak: drain left no compacted bundle at $COMPACT" >&2
   exit 1
 fi
-for method in online bicore delta; do
+for method in $METHODS; do
   "$ABCS" query --bundle "$COMPACT" --batch "$BATCH" --method "$method" \
     --threads 2 2>/dev/null \
     | sed -e 's/ touched=[0-9]*//' -e 's/ touched_arcs=[0-9]*//' \

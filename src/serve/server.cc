@@ -183,8 +183,11 @@ Status Server::Start() {
 void Server::Shutdown() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  // 1. Refuse new work: no new connections, readers answer kShuttingDown.
+  // 1. Refuse new work: no new connections, readers answer kShuttingDown;
+  //    with fast_drain, workers answer every admitted-but-unstarted query
+  //    kDeadlineExceeded from here on.
   draining_.store(true);
+  if (options_.fast_drain) fast_drain_.store(true);
   accepting_.store(false);
   if (accept_thread_.joinable()) accept_thread_.join();
   // 2. Half-close every read side; blocked recv()s wake with EOF and the
@@ -201,13 +204,10 @@ void Server::Shutdown() {
   //    flushes its response through the still-open connections. Readers
   //    are joined, so no op can slip in behind the drain.
   snapshots_->Drain();
-  // 4. Drain the query pool: every admitted request still gets executed
-  //    and its response written before the workers exit
-  //    (TaskScheduler::Close hands out queued tasks until empty). With
-  //    fast_drain the backlog is answered kDeadlineExceeded instead —
-  //    every admitted request still gets *a* response, just not a
-  //    computed one.
-  if (options_.fast_drain) fast_drain_.store(true);
+  // 4. Drain the query pool: every admitted request still gets a response
+  //    written before the workers exit (TaskScheduler::Close hands out
+  //    queued tasks until empty) — computed, or with fast_drain (step 1)
+  //    kDeadlineExceeded.
   counters_.drained_tasks.store(scheduler_.Pending());
   scheduler_.Close();
   for (std::thread& w : workers_) {

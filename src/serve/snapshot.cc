@@ -18,10 +18,18 @@ std::shared_ptr<const T> Borrow(const T* p) {
 }
 
 /// A pointer to `part` that keeps all of `owner` alive.
-template <typename T>
-std::shared_ptr<const T> Alias(const std::shared_ptr<const IndexBundle>& owner,
-                               const T& part) {
-  return std::shared_ptr<const T>(owner, &part);
+template <typename Owner, typename T>
+std::shared_ptr<const T> Alias(const std::shared_ptr<const Owner>& owner,
+                               const T* part) {
+  return std::shared_ptr<const T>(owner, part);
+}
+
+/// The id of edge (u, v) in `g` (unified ids), or kInvalidEdge.
+EdgeId FindEdge(const BipartiteGraph& g, VertexId u, VertexId v) {
+  for (const Arc& a : g.Neighbors(u)) {
+    if (a.to == v) return a.eid;
+  }
+  return kInvalidEdge;
 }
 
 /// True iff `v` holds the same offset slice in both arenas.
@@ -82,21 +90,14 @@ void SnapshotManager::set_publish_hook(PublishHook hook) {
 Status SnapshotManager::Start() {
   if (started_) return Status::InvalidArgument("manager already started");
   // Nothing has been published yet, so Current() is the seed.
-  const std::shared_ptr<const Snapshot> seed = Current();
-  const BipartiteGraph& g = seed->graph();
-  num_upper_ = g.NumUpper();
-  adj_.resize(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    adj_[v].assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
-  }
-  edges_.assign(g.Edges().begin(), g.Edges().end());
-  edge_alive_.assign(edges_.size(), 1);
-  if (seed->decomposition() != nullptr) {
-    last_decomp_ = std::shared_ptr<const BicoreDecomposition>(
-        seed, seed->decomposition());
-  } else {
-    last_decomp_ = std::make_shared<const BicoreDecomposition>(
-        ComputeBicoreDecompositionParallel(g));
+  topology_ = Current();
+  if (topology_->decomposition() == nullptr) {
+    const std::shared_ptr<const Snapshot> seed = topology_;
+    topology_ = std::make_shared<const Snapshot>(
+        seed->epoch(), Alias(seed, &seed->graph()),
+        std::make_shared<const BicoreDecomposition>(
+            ComputeBicoreDecompositionParallel(seed->graph())),
+        Alias(seed, seed->delta_index()), Alias(seed, seed->bicore_index()));
   }
   started_ = true;
   writer_ = std::thread(&SnapshotManager::WriterLoop, this);
@@ -143,10 +144,10 @@ uint64_t SnapshotManager::PublishRecovery(
     std::shared_ptr<const IndexBundle> bundle) {
   const uint64_t epoch = Epoch() + 1;
   auto snap = std::make_shared<const Snapshot>(
-      epoch, Alias(bundle, bundle->graph()),
-      Alias(bundle, bundle->decomposition()),
-      Alias(bundle, bundle->delta_index()),
-      Alias(bundle, bundle->bicore_index()));
+      epoch, Alias(bundle, &bundle->graph()),
+      Alias(bundle, &bundle->decomposition()),
+      Alias(bundle, &bundle->delta_index()),
+      Alias(bundle, &bundle->bicore_index()));
   {
     std::lock_guard<std::mutex> lock(current_mu_);
     current_ = std::move(snap);
@@ -181,134 +182,118 @@ void SnapshotManager::WriterLoop() {
   }
   // SIGTERM guarantee: everything admitted above was applied; publish the
   // uncommitted tail so it is never silently lost, then persist.
-  if (ops_since_publish_ > 0) Publish();
+  if (!pending_.empty()) Publish();
   MaybeCompact();
 }
 
 void SnapshotManager::Apply(PendingOp& op) {
   WireStatus ws = WireStatus::kOk;
   uint64_t epoch = Epoch();
-  const uint32_t num_lower = static_cast<uint32_t>(adj_.size()) - num_upper_;
+  const BipartiteGraph& topo = topology_->graph();
   const VertexId u = op.u;
-  const VertexId v = num_upper_ + op.v;
-  if (op.op != UpdateOp::kCommit &&
-      (op.u >= num_upper_ || op.v >= num_lower)) {
+  const VertexId v = topo.LowerId(op.v);
+  if (op.op == UpdateOp::kCommit) {
+    // An empty commit is a cheap no-op answering the current epoch.
+    if (!pending_.empty()) epoch = Publish();
+  } else if (op.u >= topo.NumUpper() || op.v >= topo.NumLower()) {
     ws = WireStatus::kInvalidVertex;
   } else {
-    const EdgeId eid =
-        op.op == UpdateOp::kCommit ? kInvalidEdge : FindEdge(u, v);
-    switch (op.op) {
-      case UpdateOp::kInsertEdge: {
-        if (eid != kInvalidEdge) {
-          ws = WireStatus::kConflict;
-          break;
-        }
-        const EdgeId added = static_cast<EdgeId>(edges_.size());
-        edges_.push_back(Edge{u, v, op.weight});
-        edge_alive_.push_back(1);
-        adj_[u].push_back(Arc{v, added});
-        adj_[v].push_back(Arc{u, added});
+    const auto it = pending_.find({u, v});
+    const bool alive = it != pending_.end()
+                           ? it->second.alive
+                           : FindEdge(topo, u, v) != kInvalidEdge;
+    // An insert needs the pair absent; a remove or a reweight needs it live.
+    const bool insert = op.op == UpdateOp::kInsertEdge;
+    if (alive == insert) {
+      ws = WireStatus::kConflict;
+      counters_.conflicts.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      pending_[{u, v}] = PairState{op.op != UpdateOp::kRemoveEdge, op.weight};
+      if (op.op != UpdateOp::kReweightEdge) {
         endpoints_.insert(endpoints_.end(), {u, v});
-        break;
       }
-      case UpdateOp::kRemoveEdge: {
-        if (eid == kInvalidEdge) {
-          ws = WireStatus::kConflict;
-          break;
-        }
-        const auto same_edge = [eid](const Arc& a) { return a.eid == eid; };
-        std::erase_if(adj_[u], same_edge);
-        std::erase_if(adj_[v], same_edge);
-        edge_alive_[eid] = 0;
-        endpoints_.insert(endpoints_.end(), {u, v});
-        break;
-      }
-      case UpdateOp::kReweightEdge: {
-        if (eid == kInvalidEdge) {
-          ws = WireStatus::kConflict;
-          break;
-        }
-        edges_[eid].w = op.weight;
-        break;
-      }
-      case UpdateOp::kCommit: {
-        if (ops_since_publish_ > 0) {
-          epoch = Publish();
-        }
-        // An empty commit is a cheap no-op answering the current epoch.
-        break;
-      }
-    }
-    if (op.op != UpdateOp::kCommit) {
-      if (ws == WireStatus::kOk) {
-        ++ops_since_publish_;
-        counters_.applied.fetch_add(1, std::memory_order_relaxed);
-      } else if (ws == WireStatus::kConflict) {
-        counters_.conflicts.fetch_add(1, std::memory_order_relaxed);
-      }
+      counters_.applied.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (op.done) op.done(ws, epoch);
 }
 
-EdgeId SnapshotManager::FindEdge(VertexId u, VertexId v) const {
-  for (const Arc& a : adj_[u]) {
-    if (a.to == v) return a.eid;
-  }
-  return kInvalidEdge;
-}
-
-BipartiteGraph SnapshotManager::ExportGraph() const {
-  GraphBuilder builder;
-  builder.Reserve(num_upper_, static_cast<uint32_t>(adj_.size()) - num_upper_,
-                  static_cast<uint32_t>(edges_.size()));
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    if (!edge_alive_[e]) continue;
-    builder.AddEdge(edges_[e].u, edges_[e].v - num_upper_, edges_[e].w);
-  }
-  BipartiteGraph out;
-  Status st = builder.Build(&out);
-  (void)st;
-  return out;
-}
-
 uint64_t SnapshotManager::Publish() {
-  auto graph = std::make_shared<const BipartiteGraph>(ExportGraph());
-  const uint32_t n = graph->NumVertices();
+  // Held, not referenced: a topology publish replaces `topology_`.
+  const std::shared_ptr<const Snapshot> current = Current();
+  const std::shared_ptr<const Snapshot> topology = topology_;
+  const BipartiteGraph& prev = current->graph();
+  const BipartiteGraph& topo = topology->graph();
+  const uint32_t n = topo.NumVertices();
+  const uint64_t epoch = Epoch() + 1;
   UpdateSummary summary;
   summary.topology_changed = !endpoints_.empty();
   std::vector<uint8_t> touched(n, 0);
   for (const VertexId x : endpoints_) touched[x] = 1;
   endpoints_.clear();
-  // Structural sharing: offsets are topology-only, so a weights-only batch
-  // republishes the previous decomposition untouched. A topology batch
-  // re-peels once and touches every vertex whose offsets moved.
-  std::shared_ptr<const BicoreDecomposition> decomp = last_decomp_;
-  if (summary.topology_changed) {
-    decomp = std::make_shared<const BicoreDecomposition>(
+  std::shared_ptr<const Snapshot> snap;
+  if (!summary.topology_changed) {
+    // Every pending pair is a reweight of a live edge, whose id the
+    // topology epoch still holds. Offsets and both indexes read only
+    // topology, so the new epoch shares them with the topology epoch.
+    std::vector<Weight> weights(prev.NumEdges());
+    for (EdgeId e = 0; e < prev.NumEdges(); ++e) {
+      weights[e] = prev.GetWeight(e);
+    }
+    for (const auto& [uv, state] : pending_) {
+      weights[FindEdge(topo, uv.first, uv.second)] = state.w;
+    }
+    snap = std::make_shared<const Snapshot>(
+        epoch,
+        std::make_shared<const BipartiteGraph>(prev.WithWeights(weights)),
+        Alias(topology, topology->decomposition()),
+        Alias(topology, topology->delta_index()),
+        Alias(topology, topology->bicore_index()));
+  } else {
+    // The surviving edges keep their current weights; a pending pair
+    // takes its batch state. Same vertex ids, fresh (u, v)-sorted edge ids.
+    GraphBuilder builder;
+    builder.Reserve(topo.NumUpper(), topo.NumLower(),
+                    prev.NumEdges() + pending_.size());
+    for (const Edge& e : prev.Edges()) {
+      if (!pending_.contains({e.u, e.v})) {
+        builder.AddEdge(e.u, e.v - topo.NumUpper(), e.w);
+      }
+    }
+    for (const auto& [uv, state] : pending_) {
+      if (state.alive) {
+        builder.AddEdge(uv.first, uv.second - topo.NumUpper(), state.w);
+      }
+    }
+    BipartiteGraph built;
+    Status st = builder.Build(&built);
+    (void)st;
+    auto graph = std::make_shared<const BipartiteGraph>(std::move(built));
+    // Re-peel once and touch every vertex whose offsets moved.
+    auto decomp = std::make_shared<const BicoreDecomposition>(
         ComputeBicoreDecomposition(*graph));
-    summary.delta_changed = decomp->delta != last_decomp_->delta;
+    const BicoreDecomposition& old = *topology->decomposition();
+    summary.delta_changed = decomp->delta != old.delta;
     for (VertexId v = 0; v < n; ++v) {
-      if (!SameSlice(decomp->alpha, last_decomp_->alpha, v) ||
-          !SameSlice(decomp->beta, last_decomp_->beta, v)) {
+      if (!SameSlice(decomp->alpha, old.alpha, v) ||
+          !SameSlice(decomp->beta, old.beta, v)) {
         touched[v] = 1;
       }
     }
+    auto delta = std::make_shared<const DeltaIndex>(
+        DeltaIndex::Build(*graph, decomp.get()));
+    auto bicore = std::make_shared<const BicoreIndex>(
+        BicoreIndex::Build(*graph, decomp.get()));
+    snap = std::make_shared<const Snapshot>(epoch, std::move(graph),
+                                            std::move(decomp),
+                                            std::move(delta),
+                                            std::move(bicore));
+    topology_ = snap;
   }
+  pending_.clear();
   for (VertexId v = 0; v < n; ++v) {
     if (touched[v]) summary.touched.push_back(v);
   }
-  last_decomp_ = decomp;
-  auto delta = std::make_shared<const DeltaIndex>(
-      DeltaIndex::Build(*graph, decomp.get()));
-  auto bicore = std::make_shared<const BicoreIndex>(
-      BicoreIndex::Build(*graph, decomp.get()));
-
-  const uint64_t epoch = Epoch() + 1;
-  auto snap = std::make_shared<const Snapshot>(epoch, std::move(graph),
-                                               std::move(decomp),
-                                               std::move(delta),
-                                               std::move(bicore));
 
   // One-hop expansion in the NEW graph: a vertex can join a community
   // whose members' own offsets never changed; the member it attaches to
@@ -327,7 +312,6 @@ uint64_t SnapshotManager::Publish() {
   }
   epoch_.store(epoch, std::memory_order_release);
   counters_.commits.fetch_add(1, std::memory_order_relaxed);
-  ops_since_publish_ = 0;
   dirty_since_compact_ = true;
   ++commits_since_compact_;
   if (options_.compact_every != 0 &&

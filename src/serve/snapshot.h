@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "abcore/offsets.h"
@@ -58,14 +60,13 @@ namespace abcs::serve {
 /// reference; the snapshot retires (frees) exactly when the last pinned
 /// reader releases it — never while pinned, never needing a grace period.
 ///
-/// Structural sharing: a weights-only batch publishes a snapshot that
-/// reuses the predecessor's `BicoreDecomposition` (offsets are
-/// topology-only), so the expensive part of the chain is copy-on-write at
-/// commit granularity.
+/// Structural sharing: the decomposition and both indexes read only
+/// topology, so a weights-only epoch aliases those of the last topology
+/// epoch, keeping it (and the graph its indexes point at) alive.
 class Snapshot {
  public:
-  /// `delta` and `bicore` were built against `*graph` (and from `*decomp`
-  /// when it is non-null).
+  /// `delta` and `bicore` were built over `*graph`, or a graph differing
+  /// from it in weights only (and from `*decomp` when it is non-null).
   Snapshot(uint64_t epoch, std::shared_ptr<const BipartiteGraph> graph,
            std::shared_ptr<const BicoreDecomposition> decomp,
            std::shared_ptr<const DeltaIndex> delta,
@@ -125,17 +126,18 @@ struct UpdateStats {
 };
 
 /// \brief The single-writer epoch chain: drains a bounded update queue
-/// into the writer's edge set and publishes immutable snapshots.
+/// into a batch of pending edge states and publishes immutable snapshots.
 ///
 /// Seeding: epoch 1 is a snapshot that borrows the caller's graph,
 /// decomposition and indexes, and it is the manager's only record of
-/// them. `Start` copies the writer's edge set from that snapshot and keeps
-/// its decomposition as the one the first publish compares against.
+/// them. `Start` keeps it as the writer's topology epoch.
 ///
-/// Publishing: the writer holds edges only, no offsets. A topology batch
-/// re-peels the whole exported graph once (serial
-/// `ComputeBicoreDecomposition`); a weights-only batch shares the previous
-/// decomposition. Either way both indexes are rebuilt over the new graph.
+/// Publishing: the writer holds no copy of the graph. A topology batch
+/// (any insert or remove applied, even if they cancel out) builds the
+/// surviving and inserted edges, re-peels them once (serial
+/// `ComputeBicoreDecomposition`), rebuilds both indexes and becomes the
+/// topology epoch. A weights-only batch copies the current graph with new
+/// weights and shares the topology epoch's decomposition and indexes.
 ///
 /// Threading contract:
 ///  - Any thread calls `Current()` (epoch pin) and `Enqueue()`.
@@ -160,8 +162,8 @@ class SnapshotManager {
       const Snapshot&, const UpdateSummary&, const std::vector<uint8_t>&)>;
 
   /// Seeds epoch 1 as a borrowed snapshot of `g`, `decomp` and both
-  /// indexes (all must outlive the manager). `Start` seeds the writer from
-  /// that snapshot; with `decomp` null it peels the offsets there.
+  /// indexes (all must outlive the manager; `delta` and `bicore` must be
+  /// non-null). With `decomp` null, `Start` peels the offsets.
   SnapshotManager(const BipartiteGraph& g, const DeltaIndex* delta,
                   const BicoreIndex* bicore, const BicoreDecomposition* decomp,
                   SnapshotManagerOptions options);
@@ -172,9 +174,8 @@ class SnapshotManager {
 
   void set_publish_hook(PublishHook hook);  ///< before Start only
 
-  /// Spawns the writer thread after copying the seed snapshot's edges
-  /// into the writer state. It peels only when the seed carries no
-  /// decomposition.
+  /// Spawns the writer thread with the seed snapshot as its topology
+  /// epoch. It peels only when the seed carries no decomposition.
   Status Start();
 
   /// Graceful writer shutdown (idempotent): reject new ops, apply the
@@ -214,15 +215,16 @@ class SnapshotManager {
     DoneFn done;
   };
 
+  /// A touched pair's state after the open batch's last op on it.
+  struct PairState {
+    bool alive;
+    Weight w;
+  };
+
   void WriterLoop();
   void Apply(PendingOp& op);
-  /// The live edge id of (u, v) in unified ids, or kInvalidEdge.
-  EdgeId FindEdge(VertexId u, VertexId v) const;
-  /// Compacts the alive edges into an immutable graph (fresh edge ids,
-  /// same vertex ids).
-  BipartiteGraph ExportGraph() const;
-  /// Builds + publishes a new snapshot from the writer state; returns its
-  /// epoch.
+  /// Builds + publishes a new snapshot from the current one and the
+  /// pending batch; returns its epoch.
   uint64_t Publish();
   void MaybeCompact();
 
@@ -230,14 +232,13 @@ class SnapshotManager {
   PublishHook publish_hook_;
 
   // Writer state, touched by `Start` and then by the writer thread only.
-  uint32_t num_upper_ = 0;
-  std::vector<std::vector<Arc>> adj_;
-  std::vector<Edge> edges_;  ///< one slot per edge id ever created
-  std::vector<uint8_t> edge_alive_;
+  /// The last epoch whose decomposition and indexes are current (the seed
+  /// at Start); an op checks (u, v) against `pending_`, then its arcs.
+  std::shared_ptr<const Snapshot> topology_;
+  /// Each (u, v) (unified ids) an op applied to since the last publish.
+  std::map<std::pair<VertexId, VertexId>, PairState> pending_;
   /// Endpoints of the inserts and removes applied since the last publish.
   std::vector<VertexId> endpoints_;
-  std::shared_ptr<const BicoreDecomposition> last_decomp_;
-  uint64_t ops_since_publish_ = 0;
   uint64_t commits_since_compact_ = 0;
   bool dirty_since_compact_ = false;
 

@@ -8,12 +8,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -24,6 +27,7 @@
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
 #include "core/online_query.h"
+#include "core/query_engine.h"
 #include "io/index_bundle.h"
 #include "serve/client.h"
 #include "serve/memo.h"
@@ -51,6 +55,15 @@ BipartiteGraph StressGraph(uint32_t spares) {
     triples.emplace_back(3 + k, 3 + k, 1.0);
   }
   return MakeGraph(triples);
+}
+
+// The weight of edge (u, v) (layer-local ids) in `g`, or nullopt.
+std::optional<Weight> WeightOf(const BipartiteGraph& g, uint32_t u,
+                               uint32_t v) {
+  for (const Arc& a : g.Neighbors(u)) {
+    if (a.to == g.LowerId(v)) return g.GetWeight(a.eid);
+  }
+  return std::nullopt;
 }
 
 struct ManagerHarness : IndexedGraph {
@@ -135,43 +148,138 @@ TEST(SnapshotManagerTest, ConflictsAndEmptyCommitsAreCheap) {
 TEST(SnapshotManagerTest, WeightsOnlyPublishSharesDecomposition) {
   ManagerHarness h(StressGraph(2));
   ASSERT_TRUE(h.manager->Start().ok());
+  const std::shared_ptr<const Snapshot> seed = h.manager->Current();
+  const auto shares = [](const Snapshot& a, const Snapshot& b) {
+    EXPECT_EQ(a.decomposition(), b.decomposition());
+    EXPECT_EQ(a.delta_index(), b.delta_index());
+    EXPECT_EQ(a.bicore_index(), b.bicore_index());
+  };
 
-  // First publish is topological by construction (no prior export).
+  // A weights-only batch shares the decomposition and both indexes of the
+  // last topology epoch by pointer — on a first commit, the seed's — and
+  // only its graph carries the new weight.
   ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 0, 0, 7.5), WireStatus::kOk);
   ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
   const std::shared_ptr<const Snapshot> snap2 = h.manager->Current();
   ASSERT_NE(snap2->decomposition(), nullptr);
+  shares(*snap2, *seed);
+  EXPECT_EQ(WeightOf(snap2->graph(), 0, 0), 7.5);
+  EXPECT_EQ(WeightOf(seed->graph(), 0, 0), 1.0);
 
-  // A weights-only batch must reuse the predecessor's decomposition
-  // object — structural sharing, not a rebuild.
   ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 0, 1, 3.25), WireStatus::kOk);
   ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
   const std::shared_ptr<const Snapshot> snap3 = h.manager->Current();
-  EXPECT_EQ(snap3->decomposition(), snap2->decomposition());
+  shares(*snap3, *snap2);
+  EXPECT_EQ(WeightOf(snap3->graph(), 0, 0), 7.5);
+  EXPECT_EQ(WeightOf(snap3->graph(), 0, 1), 3.25);
 
-  // A topological batch gets a fresh one, equal to a from-scratch peel.
+  // A topological batch gets fresh parts, its decomposition equal to a
+  // from-scratch peel.
   ASSERT_EQ(h.Apply(UpdateOp::kInsertEdge, 3, 0, 1.0), WireStatus::kOk);
   ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
   const std::shared_ptr<const Snapshot> snap4 = h.manager->Current();
   EXPECT_NE(snap4->decomposition(), snap3->decomposition());
+  EXPECT_NE(snap4->delta_index(), snap3->delta_index());
+  EXPECT_NE(snap4->bicore_index(), snap3->bicore_index());
   EXPECT_EQ(*snap4->decomposition(),
             ComputeBicoreDecomposition(snap4->graph()));
+
+  // The next weights-only batch shares the new topology epoch's parts.
+  ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 3, 0, 2.0), WireStatus::kOk);
+  ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+  const std::shared_ptr<const Snapshot> snap5 = h.manager->Current();
+  shares(*snap5, *snap4);
+  EXPECT_EQ(WeightOf(snap5->graph(), 3, 0), 2.0);
+}
+
+// Several ops on one pair within one batch: each is checked against the
+// state the batch's earlier ops left, and the commit publishes the last.
+TEST(SnapshotManagerTest, BatchFoldsOpsOnOnePair) {
+  ManagerHarness h(StressGraph(2));  // (3, 0), (4, 0), (3, 1) absent
+  ASSERT_TRUE(h.manager->Start().ok());
+  const uint32_t m = h.graph.NumEdges();
+  const auto commit = [&] {
+    uint64_t epoch = 0;
+    EXPECT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0, &epoch), WireStatus::kOk);
+    const std::shared_ptr<const Snapshot> snap = h.manager->Current();
+    EXPECT_EQ(snap->epoch(), epoch);
+    return snap;
+  };
+
+  // insert → remove → insert: the last insert's weight is published.
+  EXPECT_EQ(h.Apply(UpdateOp::kInsertEdge, 3, 0, 2.0), WireStatus::kOk);
+  EXPECT_EQ(h.Apply(UpdateOp::kRemoveEdge, 3, 0, 0.0), WireStatus::kOk);
+  EXPECT_EQ(h.Apply(UpdateOp::kInsertEdge, 3, 0, 4.0), WireStatus::kOk);
+  std::shared_ptr<const Snapshot> snap = commit();
+  EXPECT_EQ(WeightOf(snap->graph(), 3, 0), 4.0);
+  EXPECT_EQ(snap->graph().NumEdges(), m + 1);
+
+  // remove → reweight: the reweight finds no live edge.
+  EXPECT_EQ(h.Apply(UpdateOp::kRemoveEdge, 0, 0, 0.0), WireStatus::kOk);
+  EXPECT_EQ(h.Apply(UpdateOp::kReweightEdge, 0, 0, 9.0),
+            WireStatus::kConflict);
+  snap = commit();
+  EXPECT_EQ(WeightOf(snap->graph(), 0, 0), std::nullopt);
+  EXPECT_EQ(snap->graph().NumEdges(), m);
+
+  // Removing a pending insert leaves the pair absent.
+  EXPECT_EQ(h.Apply(UpdateOp::kInsertEdge, 4, 0, 2.0), WireStatus::kOk);
+  EXPECT_EQ(h.Apply(UpdateOp::kRemoveEdge, 4, 0, 0.0), WireStatus::kOk);
+  snap = commit();
+  EXPECT_EQ(WeightOf(snap->graph(), 4, 0), std::nullopt);
+  EXPECT_EQ(snap->graph().NumEdges(), m);
+
+  // Reweighting a pending insert publishes the edge at the new weight.
+  EXPECT_EQ(h.Apply(UpdateOp::kInsertEdge, 3, 1, 2.0), WireStatus::kOk);
+  EXPECT_EQ(h.Apply(UpdateOp::kReweightEdge, 3, 1, 6.0), WireStatus::kOk);
+  snap = commit();
+  EXPECT_EQ(WeightOf(snap->graph(), 3, 1), 6.0);
+  EXPECT_EQ(snap->graph().NumEdges(), m + 1);
+
+  // remove → insert of a live edge cancels out, yet still publishes as a
+  // topology batch: fresh offsets and the endpoints touched.
+  const std::shared_ptr<const Snapshot> before = snap;
+  EXPECT_EQ(h.Apply(UpdateOp::kRemoveEdge, 1, 1, 0.0), WireStatus::kOk);
+  EXPECT_EQ(h.Apply(UpdateOp::kInsertEdge, 1, 1, 5.0), WireStatus::kOk);
+  snap = commit();
+  EXPECT_NE(snap->decomposition(), before->decomposition());
+  EXPECT_EQ(WeightOf(snap->graph(), 1, 1), 5.0);
+  EXPECT_EQ(snap->graph().NumEdges(), m + 1);
+
+  const UpdateStats stats = h.manager->Stats();
+  EXPECT_EQ(stats.applied, 10u);
+  EXPECT_EQ(stats.conflicts, 1u);
+  EXPECT_EQ(stats.commits, 5u);
 }
 
 // Every epoch of a seeded stream of reweight, insert and remove batches
-// serves what a fresh build over its graph serves: its decomposition
-// equals a from-scratch peel, and the three engines answer a (q, α, β)
-// grid exactly as fresh I_δ, I_v and online retrieval do on that graph.
+// serves what a fresh build over its graph serves: its graph holds exactly
+// the (u, v, w) set the applied ops leave, its decomposition equals a
+// from-scratch peel, and the three engines answer a (q, α, β) grid exactly
+// as fresh I_δ, I_v and online retrieval do on that graph — C, and R
+// under every SCS kernel, where an index shared by a weights-only epoch
+// must meet that epoch's weights.
 TEST(SnapshotManagerTest, EveryPublishMatchesAFreshBuild) {
   ManagerHarness h(RandomWeightedGraph(14, 14, 70, 31));
   ASSERT_TRUE(h.manager->Start().ok());
+  std::map<std::pair<VertexId, VertexId>, Weight> model;
+  for (const Edge& e : h.graph.Edges()) model[{e.u, e.v}] = e.w;
   const auto check = [&](const std::string& at) {
     const std::shared_ptr<const Snapshot> snap = h.manager->Current();
     const BipartiteGraph& g = snap->graph();
+    std::map<std::pair<VertexId, VertexId>, Weight> published;
+    for (const Edge& e : g.Edges()) published[{e.u, e.v}] = e.w;
+    EXPECT_EQ(published, model) << at;
     ASSERT_NE(snap->decomposition(), nullptr) << at;
     ASSERT_EQ(*snap->decomposition(), ComputeBicoreDecomposition(g)) << at;
     const DeltaIndex delta = DeltaIndex::Build(g);
     const BicoreIndex bicore = BicoreIndex::Build(g);
+    const QueryEngine fresh[] = {
+        QueryEngine(g, QueryMethod::kOnline),
+        QueryEngine(g, QueryMethod::kBicore, nullptr, &bicore),
+        QueryEngine(g, QueryMethod::kDelta, &delta)};
+    QueryWorker served_worker;
+    QueryWorker fresh_worker;
     QueryScratch scratch;
     Subgraph got;
     for (VertexId q = 0; q < g.NumVertices(); q += 3) {
@@ -188,6 +296,28 @@ TEST(SnapshotManagerTest, EveryPublishMatchesAFreshBuild) {
           snap->online_engine().Query({q, a, b}, scratch, &got);
           EXPECT_EQ(got.edges, QueryCommunityOnline(g, q, a, b).edges)
               << where;
+          for (const QueryEngine& want_engine : fresh) {
+            for (const ScsAlgo algo : {ScsAlgo::kAuto, ScsAlgo::kPeel,
+                                       ScsAlgo::kExpand, ScsAlgo::kBinary}) {
+              const std::string how =
+                  where + " " + QueryMethodName(want_engine.method()) + " " +
+                  ScsAlgoName(algo);
+              const QueryOutcome served =
+                  snap->engine(want_engine.method())
+                      .Execute({q, a, b}, algo, served_worker);
+              const QueryOutcome want =
+                  want_engine.Execute({q, a, b}, algo, fresh_worker);
+              EXPECT_EQ(served.found, want.found) << how;
+              EXPECT_EQ(served.result_edges, want.result_edges) << how;
+              EXPECT_EQ(std::bit_cast<uint64_t>(served.significance),
+                        std::bit_cast<uint64_t>(want.significance))
+                  << how;
+              EXPECT_EQ(served.kernel, want.kernel) << how;
+              EXPECT_EQ(served_worker.scs.community.edges,
+                        fresh_worker.scs.community.edges)
+                  << how;
+            }
+          }
         }
       }
     }
@@ -221,6 +351,12 @@ TEST(SnapshotManagerTest, EveryPublishMatchesAFreshBuild) {
       // Duplicate inserts and repeated removes within a batch conflict.
       const WireStatus ws = h.Apply(op, u, v, w);
       ASSERT_TRUE(ws == WireStatus::kOk || ws == WireStatus::kConflict);
+      if (ws != WireStatus::kOk) continue;
+      if (op == UpdateOp::kRemoveEdge) {
+        model.erase({u, g.LowerId(v)});
+      } else {
+        model[{u, g.LowerId(v)}] = w;
+      }
     }
     uint64_t epoch = 0;
     ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0, &epoch), WireStatus::kOk);
