@@ -1,16 +1,22 @@
-// libFuzzer harness for the bundle section codecs (io/codec.h). Two
-// properties, both over fully attacker-controlled bytes:
+// libFuzzer harness for the bundle section codecs (io/codec.h). Three
+// properties, all over fully attacker-controlled bytes:
 //
 //  1. Decode totality: DecodeU32Section over arbitrary input under every
 //     codec tag, lane count and claimed decoded size either fills the
 //     output exactly or fails with a clean Status — never an OOB read or
 //     write (the output buffer is canary-guarded on both ends).
-//  2. Round-trip identity: interpreting the input as element data,
+//  2. Windowed decode: the delta-varint decode fed through its refill
+//     hook, in windows whose sizes the input picks, returns the same
+//     status code and message and writes the same output as the one-shot
+//     decode.
+//  3. Round-trip identity: interpreting the input as element data,
 //     encode→decode under each codec must reproduce it bit for bit.
 //
 // The first byte steers lane count and the decoded-size skew so one
-// corpus explores all section shapes the bundle TOC can legally claim.
+// corpus explores all section shapes the bundle TOC can legally claim;
+// it and the payload bytes also pick the window sizes.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -33,6 +39,33 @@ void CheckedDecode(abcs::SectionCodec codec, const std::byte* data,
   if (out.front() != kCanary || out.back() != kCanary) std::abort();
 }
 
+/// Property 2. Window k spans 1 + (payload byte k ^ `mix`) % `spread`
+/// bytes, so one input tries both byte-sized windows (`spread` 1) and
+/// windows of up to 256 bytes, with boundaries anywhere in a varint.
+void CheckWindowedDecode(const std::byte* data, std::size_t size,
+                         uint32_t lanes, std::size_t decoded_u32s,
+                         uint8_t mix, std::size_t spread) {
+  std::vector<uint32_t> want(decoded_u32s, kCanary);
+  const abcs::Status one_shot =
+      abcs::DecodeU32Section(abcs::SectionCodec::kDeltaVarint, data, size,
+                             lanes, want.data(), decoded_u32s * 4);
+  std::vector<uint32_t> got(decoded_u32s, kCanary);
+  std::size_t limit = 0;
+  std::size_t refills = 0;
+  const abcs::Status windowed = abcs::DecodeDeltaVarintWindowed(
+      data, size, lanes, got.data(), decoded_u32s * 4,
+      [&](std::size_t consumed) {
+        if (consumed != limit || consumed >= size) std::abort();
+        const uint8_t pick = static_cast<uint8_t>(data[refills++ % size]);
+        limit = std::min(size, consumed + 1 + (pick ^ mix) % spread);
+        return limit;
+      });
+  if (windowed.code() != one_shot.code() ||
+      windowed.message() != one_shot.message() || got != want) {
+    std::abort();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -52,6 +85,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
          {abcs::SectionCodec::kRaw, abcs::SectionCodec::kDeltaVarint,
           abcs::SectionCodec::kBitPack}) {
       CheckedDecode(codec, payload, payload_size, lanes, u32s);
+    }
+    for (const std::size_t spread : {std::size_t{1}, std::size_t{256}}) {
+      CheckWindowedDecode(payload, payload_size, lanes, u32s, steer, spread);
     }
   }
 

@@ -120,18 +120,35 @@ void EncodeDeltaVarint(const uint32_t* values, std::size_t count,
   }
 }
 
+/// The decoder's next window limit, out of line and marked cold so the
+/// call does not cost the byte loop its registers (a one-shot decode never
+/// makes it; a windowed one makes it once per window).
+[[gnu::noinline, gnu::cold]] const std::byte* NextLimit(
+    const DecodeRefill& refill, const std::byte* enc, const std::byte* p) {
+  return enc + refill(static_cast<std::size_t>(p - enc));
+}
+
+/// The one delta-varint decoder. `refill` null: the whole stream is
+/// readable up front. Otherwise the decoder starts with nothing readable
+/// and asks `refill` for the next limit each time it reaches the current
+/// one short of `end`.
 Status DecodeDeltaVarint(const std::byte* enc, std::size_t enc_bytes,
-                         uint32_t lanes, uint32_t* out, std::size_t count) {
+                         uint32_t lanes, uint32_t* out, std::size_t count,
+                         const DecodeRefill* refill) {
   const std::byte* p = enc;
   const std::byte* end = enc + enc_bytes;
+  const std::byte* limit = refill == nullptr ? end : enc;
   for (uint32_t lane = 0; lane < lanes; ++lane) {
     int64_t prev = 0;
     for (std::size_t i = 0; i < count; ++i) {
       uint64_t z = 0;
       uint32_t shift = 0, nbytes = 0;
       for (;;) {
-        if (p == end) {
-          return Status::Corruption("varint overruns the encoded payload");
+        if (p == limit) [[unlikely]] {
+          if (limit == end) {
+            return Status::Corruption("varint overruns the encoded payload");
+          }
+          limit = NextLimit(*refill, enc, p);
         }
         const uint8_t b = static_cast<uint8_t>(*p++);
         z |= static_cast<uint64_t>(b & 0x7f) << shift;
@@ -231,6 +248,16 @@ const char* SectionCodecName(SectionCodec codec) {
   return "codec-?";
 }
 
+Status DecodeDeltaVarintWindowed(const std::byte* encoded,
+                                 std::size_t encoded_bytes, uint32_t lanes,
+                                 void* out, std::size_t decoded_bytes,
+                                 const DecodeRefill& refill) {
+  ABCS_RETURN_NOT_OK(CheckShape(decoded_bytes, lanes));
+  return DecodeDeltaVarint(encoded, encoded_bytes, lanes,
+                           static_cast<uint32_t*>(out),
+                           decoded_bytes / (std::size_t{4} * lanes), &refill);
+}
+
 uint32_t BitWidthFor(uint32_t max_value) {
   return static_cast<uint32_t>(std::bit_width(max_value));
 }
@@ -268,7 +295,8 @@ Status DecodeU32Section(SectionCodec codec, const std::byte* encoded,
   uint32_t* values = static_cast<uint32_t*>(out);
   switch (codec) {
     case SectionCodec::kDeltaVarint:
-      return DecodeDeltaVarint(encoded, encoded_bytes, lanes, values, count);
+      return DecodeDeltaVarint(encoded, encoded_bytes, lanes, values, count,
+                               nullptr);
     case SectionCodec::kBitPack:
       return DecodeBitPack(encoded, encoded_bytes, lanes, values, count);
     case SectionCodec::kRaw:

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -55,6 +56,24 @@ Status EncodeU32Section(SectionCodec codec, const void* data,
 Status DecodeU32Section(SectionCodec codec, const std::byte* encoded,
                         std::size_t encoded_bytes, uint32_t lanes, void* out,
                         std::size_t decoded_bytes);
+
+/// Hands a windowed decode its input. Called with the number of stored
+/// bytes the decoder has consumed: it has read every one of them and will
+/// not read them again. Returns the stream offset it may now read up to,
+/// more than `consumed` and at most the stream length. Called when the
+/// decoder needs its first byte, then whenever it reaches the last limit
+/// short of the stream end.
+using DecodeRefill = std::function<std::size_t(std::size_t consumed)>;
+
+/// `DecodeU32Section` under `kDeltaVarint`, reading `encoded` only up to
+/// the limits `refill` hands out, so a caller can prepare each window just
+/// before the decoder reads it and release it once the decoder has moved
+/// on. The same decoder runs either way: output and `Status` are identical
+/// to the one-shot decode for every input and every window sequence.
+Status DecodeDeltaVarintWindowed(const std::byte* encoded,
+                                 std::size_t encoded_bytes, uint32_t lanes,
+                                 void* out, std::size_t decoded_bytes,
+                                 const DecodeRefill& refill);
 
 /// Smallest width (0..32) holding `max_value`.
 uint32_t BitWidthFor(uint32_t max_value);

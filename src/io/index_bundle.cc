@@ -68,7 +68,7 @@ static_assert(std::is_trivially_copyable_v<SectionRecordV1>);
 
 /// One v2 TOC entry: the byte range now carries the *stored* (possibly
 /// encoded) length, the codec tag, and the decoded length — the checksum
-/// covers the stored bytes, so corruption is caught before decode.
+/// covers the stored bytes, so a corrupt section is never mapped.
 struct SectionRecordV2 {
   char name[16] = {};
   uint64_t offset = 0;          ///< absolute file offset, kAlign-aligned
@@ -110,9 +110,29 @@ constexpr uint64_t AlignUp(uint64_t x) {
   return (x + kAlign - 1) & ~(kAlign - 1);
 }
 
+/// Folds `size` bytes at `p` into `fnv` as little-endian 64-bit words, the
+/// tail word zero-padded: BundleChecksum before its length fold. A payload
+/// folded in pieces gets the same hash when every piece but the last is a
+/// whole number of words.
+void FoldWords(Fnv1a64* fnv, const unsigned char* p, std::size_t size) {
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    fnv->Mix(w);
+  }
+  if (i < size) {
+    uint64_t w = 0;
+    std::memcpy(&w, p + i, size - i);
+    fnv->Mix(w);
+  }
+}
+
 /// Shared context of the per-section mapping steps on open.
 struct OpenCtx {
   const std::byte* base = nullptr;
+  /// The file mapping behind `base` on an mmap open; null on a kRead open.
+  const MappedFile* map = nullptr;
   uint64_t file_size = 0;
   std::vector<SectionMeta> toc;
   const std::string* path = nullptr;
@@ -144,18 +164,75 @@ struct SectionJob {
   uint32_t lanes = 0;
 };
 
+Status ChecksumMismatch(const OpenCtx& ctx, const SectionJob& job) {
+  return ctx.Corrupt(std::string("checksum mismatch in section ") + job.name);
+}
+
+Status DecodeFailure(const OpenCtx& ctx, const SectionJob& job,
+                     const SectionMeta& rec, const Status& st) {
+  return ctx.Corrupt(std::string("section ") + job.name + " (" +
+                     SectionCodecName(rec.codec) +
+                     "): " + std::string(st.message()));
+}
+
+/// Decodes a delta-varint section of a mapped file in one streamed pass.
+/// Each window of stored bytes is folded into the section checksum (when
+/// verifying) just before the decoder reads it, and the whole pages of
+/// the windows the decoder has moved past are released, so the open holds
+/// about one window of a section's stored pages instead of all of them.
+/// Bytes the decoder never reaches (after a decode error, or trailing
+/// bytes) are folded and released after it returns, and a checksum
+/// mismatch wins over any decode error, as in the unstreamed order.
+void StreamDecodeSection(OpenCtx& ctx, const SectionJob& job) {
+  SectionMeta& rec = ctx.toc[job.toc_index];
+  const std::byte* const begin = ctx.base + rec.offset;
+  const std::size_t size = rec.stored_length;
+  Fnv1a64 fnv;
+  std::size_t handed = 0;         // bytes folded and handed to the decoder
+  const std::byte* kept = begin;  // start of the section's mapped pages
+  const auto hand_to = [&](std::size_t limit) {
+    if (ctx.verify) {
+      FoldWords(&fnv, reinterpret_cast<const unsigned char*>(begin + handed),
+                limit - handed);
+    }
+    handed = limit;
+  };
+  const Status st = DecodeDeltaVarintWindowed(
+      begin, size, job.lanes, rec.decode_dst, rec.decoded_length,
+      [&](std::size_t consumed) {
+        kept = ctx.map->Release(kept, begin + consumed);
+        hand_to(std::min(size, handed + kBundleStreamWindowBytes));
+        return handed;
+      });
+  hand_to(size);
+  ctx.map->Release(kept, begin + size);
+  if (ctx.verify) {
+    fnv.Mix(size);
+    if (fnv.h != rec.checksum) {
+      rec.status = ChecksumMismatch(ctx, job);
+      return;
+    }
+  }
+  if (!st.ok()) rec.status = DecodeFailure(ctx, job, rec, st);
+}
+
 /// Checks one section's stored bytes (when verifying) and decodes it into
 /// its pool slice, recording any failure in its `status`. Touches only its
-/// own record and pool slice, so sections run concurrently.
+/// own record, its pool slice and the pages of its stored bytes, so
+/// sections run concurrently.
 void CheckAndDecodeSection(OpenCtx& ctx, const SectionJob& job) {
   SectionMeta& rec = ctx.toc[job.toc_index];
-  // The content checksum always covers the stored bytes: for an encoded
-  // section a flipped disk byte is rejected here, before the decoder ever
-  // sees the stream.
+  if (ctx.map != nullptr && rec.codec == SectionCodec::kDeltaVarint &&
+      job.lanes != 0) {
+    StreamDecodeSection(ctx, job);
+    return;
+  }
+  // The content checksum always covers the stored bytes: a flipped disk
+  // byte is reported as a checksum mismatch, and its section is never
+  // mapped.
   if (ctx.verify && BundleChecksum(ctx.base + rec.offset,
                                    rec.stored_length) != rec.checksum) {
-    rec.status = ctx.Corrupt(std::string("checksum mismatch in section ") +
-                             job.name);
+    rec.status = ChecksumMismatch(ctx, job);
     return;
   }
   // An element type without u32 lanes is MapSection's error to report. A
@@ -165,11 +242,7 @@ void CheckAndDecodeSection(OpenCtx& ctx, const SectionJob& job) {
   const Status st =
       DecodeU32Section(rec.codec, ctx.base + rec.offset, rec.stored_length,
                        job.lanes, rec.decode_dst, rec.decoded_length);
-  if (!st.ok()) {
-    rec.status = ctx.Corrupt(std::string("section ") + job.name + " (" +
-                             SectionCodecName(rec.codec) +
-                             "): " + std::string(st.message()));
-  }
+  if (!st.ok()) rec.status = DecodeFailure(ctx, job, rec, st);
 }
 
 /// Runs every job on min(hardware threads, jobs) work-stealing workers,
@@ -278,19 +351,8 @@ Status CheckStartArray(const OpenCtx& ctx, const char* name,
 }  // namespace
 
 uint64_t BundleChecksum(const void* data, std::size_t size) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
   Fnv1a64 fnv;
-  std::size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    fnv.Mix(w);
-  }
-  if (i < size) {
-    uint64_t w = 0;
-    std::memcpy(&w, p + i, size - i);
-    fnv.Mix(w);
-  }
+  FoldWords(&fnv, static_cast<const unsigned char*>(data), size);
   fnv.Mix(size);  // zero-padded tail ≠ genuinely longer zero run
   return fnv.h;
 }
@@ -635,6 +697,7 @@ Status BundleAccess::Open(const std::string& path,
 
   OpenCtx ctx;
   ctx.base = b->backing_;
+  if (b->mode_ == BundleOpenMode::kMmap) ctx.map = &b->map_;
   ctx.file_size = b->backing_size_;
   ctx.path = &path;
   ctx.verify = opts.verify_checksums;

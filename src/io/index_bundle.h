@@ -32,8 +32,8 @@ namespace abcs {
 /// serve wrong SCS answers), plus a meta checksum over header+TOC. Every
 /// v2 section record carries a byte range, a codec tag (`SectionCodec`),
 /// both the stored (encoded) and decoded byte counts, and a content
-/// checksum over the *stored* bytes — corruption is caught before any
-/// decode runs.
+/// checksum over the *stored* bytes — a corrupt section is reported and
+/// never mapped.
 ///
 /// `OpenIndexBundle` wires the in-memory structures as *borrowed*
 /// `ArenaStorage` spans. Raw sections point straight into the backing
@@ -43,12 +43,20 @@ namespace abcs {
 /// bundle (one anonymous huge-page mapping for all sections). Every
 /// section's checksum and decode run in one parallel pass before the
 /// structural checks; errors are still reported for the first bad section
-/// in open order. Queries served from an opened bundle are bit-identical
+/// in open order. On an mmap open a delta-varint section is checksummed
+/// and decoded in one streamed pass of `kBundleStreamWindowBytes` windows,
+/// and its stored pages are released behind the decoder. Queries served from an opened bundle are bit-identical
 /// to queries from a fresh in-memory build, compressed or not.
 enum class BundleOpenMode {
   kMmap,  ///< map the file; spans view the mapping (zero-copy, lazy pages)
   kRead,  ///< read the file into one owned buffer; spans view the buffer
 };
+
+/// Stored bytes of a delta-varint section that an mmap open checksums and
+/// hands to the decoder at a time. The whole pages of a window are
+/// released once the decoder has moved past it, so a compressed open does
+/// not keep the stored bytes resident beside their decoded copy.
+inline constexpr std::size_t kBundleStreamWindowBytes = std::size_t{1} << 20;
 
 struct BundleOpenOptions {
   BundleOpenMode mode = BundleOpenMode::kMmap;

@@ -85,6 +85,17 @@ Status MappedFile::Anonymous(std::size_t bytes, MappedFile* out) {
   return Status::OK();
 }
 
+const std::byte* MappedFile::Release(const std::byte* begin,
+                                     const std::byte* end) const {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t lo =
+      (reinterpret_cast<std::uintptr_t>(begin) + page - 1) & ~(page - 1);
+  const std::uintptr_t hi = reinterpret_cast<std::uintptr_t>(end) & ~(page - 1);
+  if (hi <= lo) return begin;
+  ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+  return reinterpret_cast<const std::byte*>(hi);
+}
+
 void MappedFile::Close() {
   if (addr_ != nullptr) ::munmap(addr_, size_);
   addr_ = nullptr;
@@ -105,6 +116,12 @@ Status MappedFile::Anonymous(std::size_t bytes, MappedFile* out) {
   (void)out;
   return Status::NotSupported("mmap unavailable on this platform (" +
                               std::to_string(bytes) + " bytes)");
+}
+
+const std::byte* MappedFile::Release(const std::byte* begin,
+                                     const std::byte* end) const {
+  (void)end;
+  return begin;
 }
 
 void MappedFile::Close() {

@@ -54,6 +54,15 @@ class MappedFile {
   std::byte* mutable_data() { return static_cast<std::byte*>(addr_); }
   std::size_t size() const { return size_; }
 
+  /// Drops the whole pages inside [begin, end), a range of this file
+  /// mapping, from the process (`MADV_DONTNEED`); a page only partly
+  /// inside the range is kept. A dropped page refaults from the file if it
+  /// is touched again, so release only bytes nothing will read. Returns
+  /// the end of the dropped pages, or `begin` when none was whole, so a
+  /// caller releasing a growing prefix passes it back as the next `begin`.
+  const std::byte* Release(const std::byte* begin,
+                           const std::byte* end) const;
+
   void Close();
 
  private:

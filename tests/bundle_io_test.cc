@@ -7,7 +7,8 @@
 // encoded-section battery (truncated or tampered encoded payloads, wrong
 // codec tags, decoded-length lies, varint overruns) — that must fail with
 // a clean Status naming the offending section, never a crash or sanitizer
-// report.
+// report — and the streamed mmap open of a section spanning several
+// windows.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
 #include "core/query_engine.h"
+#include "graph/generators.h"
 #include "io/index_bundle.h"
 #include "serve/snapshot.h"
 #include "test_util.h"
@@ -834,6 +836,138 @@ TEST_F(CompressedBundleCorruptionTest, PartialElementLengthIsCorruption) {
   ExpectOpenFailsNaming(Status::Code::kCorruption,
                         "section id.a.entries is not a whole number of "
                         "elements");
+}
+
+// --------------------------------------------------------- streamed open --
+
+/// A max-compressed bundle of a skewed graph whose largest coded section
+/// is delta-varint and spans at least three stream windows, so an mmap
+/// open checksums, decodes and releases it window by window.
+class StreamedBundleTest : public BundleIoTest {
+ protected:
+  void SetUp() override {
+    BundleIoTest::SetUp();
+    ASSERT_TRUE(
+        GenChungLuBipartite(5000, 5000, 50000, 2.1, 2.1, 7, &graph_).ok());
+    SaveBundleOptions save;
+    save.compression = BundleCompression::kMax;
+    BuildAndSave(graph_, save);
+    bytes_ = ReadFileBytes(path_);
+    uint32_t count = 0;
+    std::memcpy(&count, bytes_.data() + 12, sizeof(count));
+    for (uint32_t i = 0; i < count; ++i) {
+      const SectionLoc loc =
+          ReadRecord(bytes_, kTocStart + std::size_t{i} * kRecordBytes);
+      if (loc.codec != 0 && loc.stored_length > largest_.stored_length) {
+        largest_ = loc;
+      }
+    }
+    ASSERT_EQ(largest_.codec, 1u) << "largest coded section not delta-varint";
+    ASSERT_GT(largest_.stored_length, 2 * kBundleStreamWindowBytes);
+    name_ = SectionNameAt(bytes_, largest_.record_off);
+  }
+
+  Status OpenMmap(bool verify) {
+    std::unique_ptr<IndexBundle> bundle;
+    BundleOpenOptions options;
+    options.verify_checksums = verify;
+    const Status st = OpenIndexBundle(path_, &bundle, options);
+    EXPECT_EQ(bundle == nullptr, !st.ok()) << st.ToString();
+    return st;
+  }
+
+  BipartiteGraph graph_;
+  std::string bytes_;
+  SectionLoc largest_;
+  std::string name_;
+};
+
+TEST_F(StreamedBundleTest, FlipInTheLastWindowIsAChecksumMismatch) {
+  const uint64_t last_window = (largest_.stored_length - 1) /
+                               kBundleStreamWindowBytes *
+                               kBundleStreamWindowBytes;
+  const std::string pristine = bytes_;
+  // A continuation bit on the section's last byte also breaks its decode,
+  // at the very end of the stream; a low bit in the middle of the last
+  // window only changes a value.
+  for (const auto& [at, bit] :
+       {std::pair{largest_.stored_length - 1, 0x80},
+        std::pair{(last_window + largest_.stored_length) / 2, 0x01}}) {
+    SCOPED_TRACE(at);
+    ASSERT_GE(at, last_window);
+    bytes_ = pristine;
+    bytes_[largest_.offset + at] ^= static_cast<char>(bit);
+    WriteFileBytes(path_, bytes_);
+    EXPECT_EQ(OpenMmap(true).message(),
+              path_ + ": checksum mismatch in section " + name_);
+    const Status unverified = OpenMmap(false);
+    if (bit == 0x80) {
+      EXPECT_EQ(unverified.message(),
+                path_ + ": section " + name_ +
+                    " (delta-varint): varint overruns the encoded payload");
+    } else {
+      EXPECT_TRUE(unverified.ok() ||
+                  unverified.code() == Status::Code::kCorruption)
+          << unverified.ToString();
+    }
+  }
+}
+
+TEST_F(StreamedBundleTest, ReSignedDecodeErrorInTheFirstWindowIsReported) {
+  // Six continuation bytes stop the decoder in the first window. The
+  // re-signed checksum still matches only if the windows the decoder
+  // never reached were folded in after it stopped; the open then names the
+  // decode error, in both modes and with or without verification.
+  std::memset(bytes_.data() + largest_.offset, 0x80, 6);
+  ResignRecord(&bytes_, largest_.record_off);
+  WriteFileBytes(path_, bytes_);
+  const std::string want =
+      path_ + ": section " + name_ +
+      " (delta-varint): varint longer than a u32 delta allows";
+  EXPECT_EQ(OpenMmap(true).message(), want);
+  EXPECT_EQ(OpenMmap(false).message(), want);
+  std::unique_ptr<IndexBundle> bundle;
+  BundleOpenOptions read;
+  read.mode = BundleOpenMode::kRead;
+  EXPECT_EQ(OpenIndexBundle(path_, &bundle, read).message(), want);
+}
+
+TEST_F(StreamedBundleTest, MmapAndReadOpensAnswerTheMixedReplayIdentically) {
+  const std::vector<QueryRequest> requests = MixedRequests(graph_, 300, 42);
+  std::unique_ptr<IndexBundle> mapped;
+  ASSERT_TRUE(OpenIndexBundle(path_, &mapped).ok());
+  std::unique_ptr<IndexBundle> read;
+  BundleOpenOptions options;
+  options.mode = BundleOpenMode::kRead;
+  ASSERT_TRUE(OpenIndexBundle(path_, &read, options).ok());
+  EXPECT_EQ(mapped->decomposition(), decomp_);
+  EXPECT_EQ(read->decomposition(), decomp_);
+  for (const QueryMethod method :
+       {QueryMethod::kDelta, QueryMethod::kBicore, QueryMethod::kOnline}) {
+    const QueryEngine fresh(graph_, method, &delta_, &bicore_);
+    const QueryEngine from_map(mapped->graph(), method,
+                               &mapped->delta_index(),
+                               &mapped->bicore_index());
+    const QueryEngine from_read(read->graph(), method, &read->delta_index(),
+                                &read->bicore_index());
+    BatchOptions opt;
+    opt.keep_communities = true;
+    const BatchResult want = fresh.RunBatch(requests, opt);
+    const BatchResult got_map = from_map.RunBatch(requests, opt);
+    const BatchResult got_read = from_read.RunBatch(requests, opt);
+    std::size_t found = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(got_map.communities[i].edges, got_read.communities[i].edges)
+          << QueryMethodName(method) << " i=" << i;
+      ASSERT_EQ(got_map.outcomes[i].touched_arcs,
+                got_read.outcomes[i].touched_arcs)
+          << QueryMethodName(method) << " i=" << i;
+      ASSERT_EQ(got_map.communities[i].edges, want.communities[i].edges)
+          << QueryMethodName(method) << " i=" << i;
+      found += got_map.communities[i].edges.empty() ? 0 : 1;
+    }
+    EXPECT_GT(found, 0u) << QueryMethodName(method);
+  }
 }
 
 // A re-signed entry that points a level-τ list at a vertex which does not

@@ -1,10 +1,13 @@
 // Unit tests for the per-section codec layer (io/codec.h): encode→decode
 // round-trip identity over adversarial value patterns and every lane
 // count used by the bundle sections, exact error reporting on malformed
-// streams (the fuzz target's assertions, pinned deterministically).
+// streams (the fuzz target's assertions, pinned deterministically), and
+// the windowed delta-varint decode giving the one-shot decode's output and
+// Status under every window size.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -197,6 +200,124 @@ TEST(SectionCodecTest, BitPackSizeMismatchIsCorruption) {
   enc[0] = std::byte{31};
   const Status st = DecodeStatus(SectionCodec::kBitPack, enc, 1, 4);
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
+}
+
+// ------------------------------------------------- windowed delta-varint --
+
+/// Output and Status of one delta-varint decode, one-shot (`window` 0) or
+/// through the refill hook in `window`-byte windows. `inside_varint`
+/// counts refills whose window boundary split a varint.
+struct WindowedRun {
+  std::vector<uint32_t> out;
+  Status status;
+  std::size_t inside_varint = 0;
+};
+
+WindowedRun RunDeltaVarint(const std::vector<std::byte>& enc, uint32_t lanes,
+                           std::size_t count_u32, std::size_t window) {
+  WindowedRun run;
+  run.out.assign(count_u32 + 1, 0xa5a5a5a5);
+  if (window == 0) {
+    run.status = DecodeU32Section(SectionCodec::kDeltaVarint, enc.data(),
+                                  enc.size(), lanes, run.out.data(),
+                                  count_u32 * 4);
+    return run;
+  }
+  std::size_t limit = 0;
+  run.status = DecodeDeltaVarintWindowed(
+      enc.data(), enc.size(), lanes, run.out.data(), count_u32 * 4,
+      [&](std::size_t consumed) {
+        // The decoder asks only once it has read everything handed out.
+        EXPECT_EQ(consumed, limit);
+        if (consumed > 0 && (static_cast<uint8_t>(enc[consumed - 1]) & 0x80)) {
+          ++run.inside_varint;
+        }
+        limit = std::min(enc.size(), consumed + window);
+        return limit;
+      });
+  return run;
+}
+
+constexpr std::size_t kWindows[] = {1, 2, 3, 7, 64, std::size_t{1} << 20};
+
+/// The windowed decode must match the one-shot decode byte for byte and
+/// Status for Status.
+void ExpectWindowedMatchesOneShot(const std::vector<std::byte>& enc,
+                                  uint32_t lanes, std::size_t count_u32) {
+  const WindowedRun want = RunDeltaVarint(enc, lanes, count_u32, 0);
+  for (const std::size_t window : kWindows) {
+    const WindowedRun got = RunDeltaVarint(enc, lanes, count_u32, window);
+    EXPECT_EQ(got.status.ToString(), want.status.ToString())
+        << "lanes=" << lanes << " window=" << window;
+    EXPECT_EQ(got.out, want.out) << "lanes=" << lanes << " window=" << window;
+  }
+}
+
+TEST(SectionCodecTest, WindowedDeltaVarintMatchesOneShot) {
+  // The alternating 0/UINT32_MAX pattern codes every value as a 5-byte
+  // varint, so windows of 1–7 bytes end inside varints; 300 000 random
+  // values code to more than 1 MiB, so the 1 MiB window refills too.
+  for (const uint32_t lanes : {1u, 2u, 3u}) {
+    for (const std::size_t elems : {std::size_t{1}, std::size_t{513}}) {
+      for (const auto& values : Patterns(elems * lanes)) {
+        ExpectWindowedMatchesOneShot(
+            Encode(SectionCodec::kDeltaVarint, values, lanes), lanes,
+            values.size());
+      }
+    }
+    const std::vector<uint32_t> big = Patterns(300000 - 300000 % lanes)[4];
+    const std::vector<std::byte> enc =
+        Encode(SectionCodec::kDeltaVarint, big, lanes);
+    ASSERT_GT(enc.size(), std::size_t{1} << 20);
+    ExpectWindowedMatchesOneShot(enc, lanes, big.size());
+    const WindowedRun run =
+        RunDeltaVarint(enc, lanes, big.size(), std::size_t{1} << 20);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_TRUE(std::equal(big.begin(), big.end(), run.out.begin()));
+  }
+  const std::vector<std::byte> wide =
+      Encode(SectionCodec::kDeltaVarint, Patterns(64)[3], 1);
+  for (const std::size_t window : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{3}, std::size_t{7}}) {
+    EXPECT_GT(RunDeltaVarint(wide, 1, 64, window).inside_varint, 0u)
+        << "window=" << window;
+  }
+}
+
+TEST(SectionCodecTest, WindowedDeltaVarintErrorsMatchOneShot) {
+  for (const uint32_t lanes : {1u, 2u, 3u}) {
+    const std::vector<uint32_t> values = Patterns(300 * lanes)[4];
+    const std::vector<std::byte> enc =
+        Encode(SectionCodec::kDeltaVarint, values, lanes);
+    // Truncation: the windowed decode overruns exactly where the one-shot
+    // decode does, with the same message.
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{1}, enc.size() / 2, enc.size() - 1}) {
+      const std::vector<std::byte> cut(enc.begin(), enc.begin() + keep);
+      ExpectWindowedMatchesOneShot(cut, lanes, values.size());
+      for (const std::size_t window : kWindows) {
+        EXPECT_EQ(RunDeltaVarint(cut, lanes, values.size(), window)
+                      .status.message(),
+                  "varint overruns the encoded payload")
+            << "keep=" << keep << " window=" << window;
+      }
+    }
+    // Trailing bytes, a wrong element count and a broken shape.
+    std::vector<std::byte> trailing = enc;
+    trailing.push_back(std::byte{0});
+    ExpectWindowedMatchesOneShot(trailing, lanes, values.size());
+    ExpectWindowedMatchesOneShot(enc, lanes, values.size() - lanes);
+    ExpectWindowedMatchesOneShot(enc, lanes, values.size() + 1);
+  }
+  // An overlong varint and deltas outside u32, each after a valid prefix.
+  std::vector<std::byte> overlong(8, std::byte{0x80});
+  overlong[0] = std::byte{0x02};
+  ExpectWindowedMatchesOneShot(overlong, 1, 2);
+  ExpectWindowedMatchesOneShot({std::byte{0x04}, std::byte{0x05}}, 1, 2);
+  ExpectWindowedMatchesOneShot({std::byte{0x02}, std::byte{0x80},
+                                std::byte{0x80}, std::byte{0x80},
+                                std::byte{0x80}, std::byte{0x20}},
+                               1, 2);
 }
 
 TEST(SectionCodecTest, BitWidthForIsTheTightestWidth) {
